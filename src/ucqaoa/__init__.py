@@ -7,7 +7,6 @@ enumeration provide ground truth.
 """
 
 from .baseline import (
-    BnbNode,
     SolveReport,
     node_lower_bound,
     random_instance,

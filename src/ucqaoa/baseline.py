@@ -30,14 +30,6 @@ OFF = 0
 UNDECIDED = -1
 
 
-@dataclass(frozen=True)
-class BnbNode:
-    """Partial commitment: per-unit ON / OFF / UNDECIDED plus its bound."""
-
-    fixed: tuple[int, ...]
-    lower_bound: float
-
-
 @dataclass(frozen=True, eq=False)
 class SolveReport:
     commitment: Commitment
@@ -53,7 +45,7 @@ def node_lower_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
     [0, p_max] for free.  Infinite when no completion can cover the load.
 
     A fully fixed node has no relaxation left, so it delegates to the
-    economic dispatch of its commitment (same value, one bisection)."""
+    economic dispatch of its commitment (same value, one dispatch solve)."""
     _, b, c, lo, hi = _bound_arrays(inst, fixed)
     a = inst.coeff_arrays[0]
     states = np.asarray(fixed)

@@ -1,10 +1,10 @@
 """Ground-truth dispatch engine.
 
-Solves the continuous dispatch induced by a fixed commitment (equal
-marginal cost via bisection on the shared multiplier), exhaustively
-enumerates all commitments, and builds the near-optimal commitment set
-used by the convergence metrics.  A brute-force grid oracle validates
-the bisection in tests.
+Solves the continuous dispatch induced by a fixed commitment exactly
+(equal marginal cost, found by locating the load on the piecewise-linear
+supply curve), exhaustively enumerates all commitments, and builds the
+near-optimal commitment set used by the convergence metrics.  A
+brute-force grid oracle validates the dispatch in tests.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .errors import InfeasibleError, SizeGuardError, ValidationError
 from .instance import Commitment, UcInstance, _check_lengths, index_to_bits
 
 ENUMERATION_GUARD = 24
-BISECTION_MAX_ITER = 200
-BISECTION_REL_TOL = 1e-6  # load residual target, relative to L
 
 INFEASIBLE_COST = math.inf  # in-memory sentinel; never serialized as a float
 
@@ -51,6 +49,69 @@ class NearOptimalSet:
         return np.array(idx, dtype=np.int64)
 
 
+def _dispatch_rows(
+    b: np.ndarray,
+    c: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    load: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact economic dispatch of every row of ``(rows, n)`` boxes.
+
+    Per row, minimizes sum(b*p + c*p**2) s.t. sum(p) = load, lo <= p <= hi.
+    At marginal cost lambda unit i supplies clip((lambda - b)/2c, lo, hi),
+    so the total supply S(lambda) is nondecreasing and piecewise linear,
+    with breakpoints b + 2c*lo and b + 2c*hi; a unit with c == 0 is a
+    vertical jump of hi - lo at lambda == b.  A binary search over the
+    sorted breakpoints finds the first one, lambda*, whose supply just
+    right of it covers the load.  Every unit is linear in lambda between
+    the breakpoint before lambda* and lambda*, so the dispatch is the
+    interpolation between their unit powers that meets the load; load
+    still left at lambda* is a jump, filled lowest-index-first by the units
+    jumping there.  S is summed afresh at each probe, never accumulated
+    across breakpoints, so the result is exact to rounding however widely
+    the curvatures differ.  ``b`` and ``c`` broadcast against the boxes.
+
+    Returns ``(powers, feasible)``; the powers of a row whose boxes cannot
+    cover the load are meaningless.
+    """
+    lam_lo = b + 2.0 * c * lo
+    lam_hi = b + 2.0 * c * hi
+    slope = np.divide(0.5, c, out=np.zeros(np.shape(c)), where=c > 0)
+
+    def supply(lam: np.ndarray, right: bool = True) -> np.ndarray:
+        """Unit powers at marginal cost ``lam`` (one per row), taken just
+        right or just left of it; the two differ only for units jumping there."""
+        ramp = np.minimum(np.maximum(lo + (lam - lam_lo) * slope, lo), hi)
+        if right:
+            return np.where(lam >= lam_hi, hi, ramp)
+        return np.where(lam <= lam_lo, lo, np.where(lam >= lam_hi, hi, ramp))
+
+    x = np.sort(np.concatenate((lam_lo, lam_hi), axis=1), axis=1)
+    row = np.arange(len(x))[:, None]
+    first = np.zeros((len(x), 1), dtype=np.intp)
+    last = np.full((len(x), 1), x.shape[1] - 1)
+    for _ in range((x.shape[1] - 1).bit_length()):
+        mid = (first + last) // 2
+        covers = supply(x[row, mid]).sum(axis=1, keepdims=True) >= load
+        # min() keeps rows that cannot cover the load inside the array
+        first = np.where(covers, first, np.minimum(mid + 1, last))
+        last = np.where(covers, mid, last)
+
+    lam = x[row, first]
+    start = np.where(first > 0, supply(x[row, first - 1]), lo)  # all at lo below the first
+    end = supply(lam, right=False)
+    s_start = start.sum(axis=1, keepdims=True)
+    rise = end.sum(axis=1, keepdims=True) - s_start
+    t = np.divide(load - s_start, rise, out=np.ones(rise.shape), where=rise > 0)
+    p = start + np.clip(t, 0.0, 1.0) * (end - start)
+    room = supply(lam) - end
+    left = load - p.sum(axis=1, keepdims=True)
+    p += np.clip(left - (np.cumsum(room, axis=1) - room), 0.0, room)
+    feasible = (lo.sum(axis=1) <= load) & (hi.sum(axis=1) >= load)
+    return p, feasible
+
+
 def dispatch_within_boxes(
     b: np.ndarray,
     c: np.ndarray,
@@ -60,53 +121,11 @@ def dispatch_within_boxes(
 ) -> Optional[np.ndarray]:
     """Minimize sum(b*p + c*p**2) s.t. sum(p) = load, lo <= p <= hi.
 
-    Bisection on the shared marginal cost lambda with per-unit clipping
-    p(lambda) = clamp((lambda - b)/(2c), lo, hi).  Units with c == 0 have a
-    step supply at lambda == b; any leftover load among tied step units is
-    filled lowest-index-first.  Returns None when the boxes cannot cover
-    the load.
+    A one-row call of the exact breakpoint solve; tied c == 0 units fill
+    lowest-index-first.  Returns None when the boxes cannot cover the load.
     """
-    if lo.sum() > load or hi.sum() < load:
-        return None
-    c_pos = c > 0
-    step = ~c_pos
-
-    def powers_at(lam: float) -> np.ndarray:
-        p = np.empty_like(b)
-        if c_pos.any():
-            p[c_pos] = np.clip((lam - b[c_pos]) / (2.0 * c[c_pos]), lo[c_pos], hi[c_pos])
-        if step.any():
-            p[step] = np.where(lam < b[step], lo[step], hi[step])
-        return p
-
-    lam_lo = float(b.min()) - 1.0
-    lam_hi = float((b + 2.0 * c * hi).max()) + 1.0
-    tol = BISECTION_REL_TOL * abs(load)
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lam_lo + lam_hi)
-        p = powers_at(mid)
-        resid = p.sum() - load
-        if abs(resid) <= tol:
-            return p
-        if resid < 0:
-            lam_lo = mid
-        else:
-            lam_hi = mid
-
-    # Step units straddle the load: fill the gap lowest-index-first.
-    p = powers_at(lam_lo)
-    upper = powers_at(lam_hi)
-    residual = load - p.sum()
-    for i in range(len(p)):
-        room = upper[i] - p[i]
-        if room <= 0.0:
-            continue
-        take = min(room, residual)
-        p[i] += take
-        residual -= take
-        if residual <= 0.0:
-            break
-    return p
+    p, feasible = _dispatch_rows(b[None], c[None], lo[None], hi[None], load)
+    return p[0] if feasible[0] else None
 
 
 def economic_dispatch(inst: UcInstance, commit: Sequence[int]) -> DispatchSolution:
@@ -129,7 +148,7 @@ def economic_dispatch(inst: UcInstance, commit: Sequence[int]) -> DispatchSoluti
 
 
 # ---------------------------------------------------------------------------
-# exhaustive grid oracle (tests only; independent of the bisection path)
+# exhaustive grid oracle (tests only; independent of the breakpoint solve)
 
 _GRID_EPS = 1e-9
 
@@ -223,50 +242,32 @@ def dispatch_grid_oracle(
 # ---------------------------------------------------------------------------
 # brute-force enumeration
 
-_CHUNK_ROWS = 1 << 15
+_CHUNK_ROWS = 1 << 12  # rows per kernel call; bounds the working set
 
 
-def _dispatch_chunk_vectorized(
-    inst: UcInstance, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bisection dispatch for commitments [start, stop); requires all c > 0."""
-    a, b, c, lo, hi = inst.coeff_arrays
+def _enumerate_arrays(inst: UcInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(costs, feasible, powers) of all 2**N commitments, by index.
+
+    Infeasible commitments cost inf and hold zero power.
+    """
     n = inst.n
-    L = inst.load
-    idx = np.arange(start, stop, dtype=np.int64)
-    mask = ((idx[:, None] >> np.arange(n)) & 1).astype(bool)
-    lo_m = np.where(mask, lo, 0.0)
-    hi_m = np.where(mask, hi, 0.0)
-    feas = mask.any(axis=1) & (lo_m.sum(axis=1) <= L) & (hi_m.sum(axis=1) >= L)
-
-    # per-row brackets over the ON subset, matching the scalar path exactly
-    lam_lo = np.where(mask, b, np.inf).min(axis=1) - 1.0
-    lam_hi = np.where(mask, b + 2.0 * c * hi, -np.inf).max(axis=1) + 1.0
-    lam_lo = np.where(feas, lam_lo, 0.0)
-    lam_hi = np.where(feas, lam_hi, 0.0)
-    tol = BISECTION_REL_TOL * L
-
-    def powers_at(lam: np.ndarray) -> np.ndarray:
-        p = np.clip((lam[:, None] - b) / (2.0 * c), lo, hi)
-        return np.where(mask, p, 0.0)
-
-    done = ~feas
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lam_lo + lam_hi)
-        p = powers_at(mid)
-        resid = p.sum(axis=1) - L
-        done = done | (np.abs(resid) <= tol)
-        if done.all():
-            break
-        move = ~done
-        low = resid < 0
-        lam_lo = np.where(move & low, mid, lam_lo)
-        lam_hi = np.where(move & ~low, mid, lam_hi)
-    p = powers_at(0.5 * (lam_lo + lam_hi))
-    costs = np.where(mask, a + b * p + c * p * p, 0.0).sum(axis=1)
-    costs = np.where(feas, costs, np.inf)
-    p[~feas] = 0.0
-    return p, costs, feas
+    if n > ENUMERATION_GUARD:
+        raise SizeGuardError(f"enumeration guard is N <= {ENUMERATION_GUARD}, got {n}")
+    a, b, c, lo, hi = inst.coeff_arrays
+    size = 1 << n
+    costs = np.empty(size)
+    feasible = np.empty(size, dtype=bool)
+    powers = np.empty((size, n))
+    for start in range(0, size, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, size)
+        on = ((np.arange(start, stop)[:, None] >> np.arange(n)) & 1).astype(bool)
+        p, ok = _dispatch_rows(b, c, np.where(on, lo, 0.0), np.where(on, hi, 0.0), inst.load)
+        p[~ok] = 0.0
+        powers[start:stop] = p
+        feasible[start:stop] = ok
+        cost = np.where(on, a + b * p + c * p * p, 0.0).sum(axis=1)
+        costs[start:stop] = np.where(ok, cost, INFEASIBLE_COST)
+    return costs, feasible, powers
 
 
 def enumerate_all(inst: UcInstance) -> list[tuple[Commitment, DispatchSolution]]:
@@ -276,50 +277,27 @@ def enumerate_all(inst: UcInstance) -> list[tuple[Commitment, DispatchSolution]]
     index.  Memory grows as 2**N; guarded at N <= 24 (practical use is
     N <= ~16).
     """
-    n = inst.n
-    if n > ENUMERATION_GUARD:
-        raise SizeGuardError(f"enumeration guard is N <= {ENUMERATION_GUARD}, got {n}")
-    size = 1 << n
-    _, _, c, _, _ = inst.coeff_arrays
-    powers = np.zeros((size, n))
-    costs = np.full(size, np.inf)
-    feas = np.zeros(size, dtype=bool)
-    if np.all(c > 0):
-        for start in range(0, size, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, size)
-            powers[start:stop], costs[start:stop], feas[start:stop] = (
-                _dispatch_chunk_vectorized(inst, start, stop)
-            )
-    else:
-        for k in range(size):
-            sol = economic_dispatch(inst, index_to_bits(k, n))
-            powers[k] = sol.powers
-            feas[k] = sol.feasible
-            if sol.feasible:
-                costs[k] = sol.cost
-    order = np.lexsort((np.arange(size), costs))
-    entries = []
-    for k in order:
-        k = int(k)
-        sol = DispatchSolution(
-            powers=powers[k].copy(),
-            cost=float(costs[k]) if feas[k] else INFEASIBLE_COST,
-            feasible=bool(feas[k]),
+    costs, feasible, powers = _enumerate_arrays(inst)
+    return [
+        (
+            index_to_bits(k, inst.n),
+            DispatchSolution(powers=powers[k].copy(), cost=float(costs[k]),
+                             feasible=bool(feasible[k])),
         )
-        entries.append((index_to_bits(k, n), sol))
-    return entries
+        for k in np.argsort(costs, kind="stable").tolist()
+    ]
 
 
 def near_optimal_set(inst: UcInstance, fraction: float = 0.05) -> NearOptimalSet:
     """All feasible commitments with cost <= (1 + fraction) * optimal cost."""
     if fraction < 0:
         raise ValidationError(f"fraction must be >= 0, got {fraction}")
-    entries = enumerate_all(inst)
-    if not entries[0][1].feasible:
+    costs, feasible, _ = _enumerate_arrays(inst)
+    if not feasible.any():
         raise InfeasibleError(f"instance {inst.name!r} has no feasible commitment")
-    optimal = entries[0][1].cost
+    optimal = float(costs.min())
     cutoff = (1.0 + fraction) * optimal
     members = frozenset(
-        bits for bits, sol in entries if sol.feasible and sol.cost <= cutoff
+        index_to_bits(k, inst.n) for k in np.flatnonzero(feasible & (costs <= cutoff)).tolist()
     )
     return NearOptimalSet(members=members, optimal_cost=optimal, cutoff=cutoff, n=inst.n)

@@ -27,7 +27,7 @@ from .errors import ValidationError
 
 Commitment = tuple[int, ...]
 
-DEFAULT_FEASIBILITY_TOL = 1e-6  # relative; matches the dispatch bisection target
+DEFAULT_FEASIBILITY_TOL = 1e-6  # relative; a check tolerance, far above dispatch rounding
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,6 @@ from .instance import index_to_string
 HISTORY_FIELDS = ("iter", "objective", "near_opt_prob", "avg_hamming_top50",
                   "best_bitstring", "elapsed_ms")
 
-if hasattr(np, "bitwise_count"):
-    def _popcount(arr: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(arr.astype(np.uint64)).astype(np.int64)
-else:
-    def _popcount(arr: np.ndarray) -> np.ndarray:
-        flat = [int(v).bit_count() for v in arr.ravel()]
-        return np.array(flat, dtype=np.int64).reshape(arr.shape)
-
 
 def hamming(a: Union[str, Sequence[int]], b: Union[str, Sequence[int]]) -> int:
     """Number of positions at which two equal-length bitstrings differ."""
@@ -69,7 +61,7 @@ def avg_hamming_top_k(probs: np.ndarray, nos: NearOptimalSet, k: int = 50) -> fl
     if members.size == 0:
         raise ValidationError("near-optimal set is empty")
     ranked = top_k(probs, k)
-    dists = _popcount(ranked[:, None] ^ members[None, :]).min(axis=1)
+    dists = np.bitwise_count(ranked[:, None] ^ members[None, :]).min(axis=1)
     return float(dists.mean())
 
 

@@ -13,18 +13,28 @@ settings.load_profile("default")
 
 
 @st.composite
-def unit_specs(draw, max_pmax: float = 400.0):
+def unit_specs(draw, max_pmax: float = 400.0, degenerate: bool = False):
     p_max = draw(st.floats(10.0, max_pmax, allow_nan=False, allow_infinity=False))
     frac = draw(st.floats(0.05, 0.4))
     a = draw(st.floats(0.0, 1200.0))
     b = draw(st.floats(5.0, 30.0))
     c = draw(st.floats(1e-4, 1e-2))
+    if degenerate:
+        # opt-in edge cases: a zero-curvature (step) unit, a fixed-output unit
+        if draw(st.booleans()):
+            c = 0.0
+        if draw(st.booleans()):
+            frac = 1.0
     return UnitSpec(p_min=frac * p_max, p_max=p_max, a=a, b=b, c=c)
 
 
 @st.composite
-def instances(draw, min_units: int = 1, max_units: int = 8):
-    units = tuple(draw(st.lists(unit_specs(), min_size=min_units, max_size=max_units)))
+def instances(draw, min_units: int = 1, max_units: int = 8, degenerate: bool = False):
+    """Random instances; ``degenerate=True`` also draws units with c = 0
+    and units with p_min == p_max, so some draws have no feasible
+    commitment."""
+    units = tuple(draw(st.lists(unit_specs(degenerate=degenerate),
+                                min_size=min_units, max_size=max_units)))
     cap = sum(u.p_max for u in units)
     # load above the all-ON minimum and below capacity keeps the draw feasible
     frac = draw(st.floats(0.45, 0.95))

@@ -77,7 +77,7 @@ def test_bound_monotone_along_branch(seed):
     for i in rng.permutation(7):
         fixed[i] = ON if rng.random() < 0.5 else OFF
         cur = node_lower_bound(inst, tuple(fixed))
-        # bisection tolerance can wobble the relaxed dispatch slightly
+        # floating-point rounding can wobble the relaxed dispatch slightly
         assert cur >= prev - 1e-6 * max(1.0, abs(prev))
         prev = cur
         if cur == math.inf:
@@ -170,6 +170,20 @@ def test_approx_guarantee_randomized(seed):
     report = solve_approx(inst, 0.08)
     assert report.dispatch.cost <= 1.08 * exact_cost * (1 + 1e-9)
     assert report.nodes_expanded <= solve_exact(inst).nodes_expanded
+
+
+@given(instances(min_units=1, max_units=6, degenerate=True))
+@settings(max_examples=25, deadline=None)
+def test_exact_matches_enumeration_property(inst):
+    # degenerate draws put step units and fixed-output units in the bounds
+    best_bits, best = enumerate_all(inst)[0]
+    if not best.feasible:
+        with pytest.raises(InfeasibleError):
+            solve_exact(inst)
+        return
+    report = solve_exact(inst)
+    assert report.dispatch.feasible
+    assert report.dispatch.cost == pytest.approx(best.cost, rel=1e-6)
 
 
 @given(instances(min_units=2, max_units=7), st.floats(0.0, 0.5))

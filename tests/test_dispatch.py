@@ -14,7 +14,14 @@ from ucqaoa.dispatch import (
     near_optimal_set,
 )
 from ucqaoa.errors import InfeasibleError, SizeGuardError, ValidationError
-from ucqaoa.instance import UcInstance, UnitSpec, bits_to_index, builtin_ten_unit
+from ucqaoa.instance import (
+    UcInstance,
+    UnitSpec,
+    all_commitments,
+    bits_to_index,
+    builtin_ten_unit,
+    check_feasible,
+)
 
 
 def _inst(units, load):
@@ -59,14 +66,36 @@ def test_load_outside_joint_boxes_is_infeasible():
 
 
 def test_table_units_1_2_against_grid():
-    inst = builtin_ten_unit(700.0)
     commit = (1, 1) + (0,) * 8
+    # 300 and 910 MW are the two units' summed p_min and p_max
+    for load in (700.0, 300.0, 910.0):
+        inst = builtin_ten_unit(load)
+        fast = economic_dispatch(inst, commit)
+        slow = dispatch_grid_oracle(inst, commit, resolution=0.01)
+        assert fast.feasible and slow.feasible
+        assert fast.cost <= slow.cost + 1e-3 * slow.cost
+        assert fast.cost == pytest.approx(slow.cost, rel=1e-3)
+        assert fast.powers.sum() == pytest.approx(load, abs=load * 1e-5)
+
+
+@pytest.mark.parametrize("units, load, expected", [
+    # unit 0 has p_min == p_max: it holds 40 MW and the others share the rest
+    ([(40.0, 40.0, 5.0, 20.0, 0.01), (10.0, 100.0, 7.0, 3.0, 0.05),
+      (20.0, 80.0, 6.0, 4.0, 0.02)], 120.0, {0: 40.0}),
+    # the load falls in the jump of the step unit 1 at marginal cost 15,
+    # where unit 0's ramp has reached 50 MW
+    ([(0.0, 100.0, 0.0, 10.0, 0.05), (0.0, 100.0, 0.0, 15.0, 0.0)], 80.0, {0: 50.0, 1: 30.0}),
+], ids=["fixed_output", "load_in_jump"])
+def test_degenerate_units_against_grid(units, load, expected):
+    inst = _inst(units, load=load)
+    commit = (1,) * inst.n
     fast = economic_dispatch(inst, commit)
     slow = dispatch_grid_oracle(inst, commit, resolution=0.01)
     assert fast.feasible and slow.feasible
-    assert fast.cost <= slow.cost + 1e-3 * slow.cost
+    for i, power in expected.items():
+        assert fast.powers[i] == pytest.approx(power, abs=1e-9)
+    assert fast.cost <= slow.cost + 1e-9 * slow.cost
     assert fast.cost == pytest.approx(slow.cost, rel=1e-3)
-    assert fast.powers.sum() == pytest.approx(700.0, abs=700 * 1e-5)
 
 
 def test_step_units_fill_lowest_index_first():
@@ -77,6 +106,12 @@ def test_step_units_fill_lowest_index_first():
     assert sol.feasible
     assert sol.powers[0] == pytest.approx(50.0, abs=1e-6)
     assert sol.powers[1] == pytest.approx(20.0, abs=1e-6)
+    # three tied units above p_min = 10; the costlier step unit keeps p_min
+    v = (10.0, 50.0, 1.0, 4.0, 0.0)
+    inst = _inst([v, (5.0, 30.0, 1.0, 9.0, 0.0), v, v], load=105.0)
+    sol = economic_dispatch(inst, (1, 1, 1, 1))
+    assert sol.feasible
+    np.testing.assert_allclose(sol.powers, [50.0, 5.0, 40.0, 10.0], rtol=0, atol=1e-6)
 
 
 def test_off_units_hold_zero_power():
@@ -88,14 +123,38 @@ def test_off_units_hold_zero_power():
     assert np.all(sol.powers[off] == 0.0)
 
 
-@given(instances(min_units=1, max_units=6), st.data())
+@given(st.one_of(instances(max_units=6), instances(max_units=6, degenerate=True)), st.data())
+@settings(max_examples=40)
+def test_dispatch_meets_load_exactly(inst, data):
+    # the breakpoint solve leaves rounding error only: 1e-9*L covers the
+    # load residual and the box limits of every feasible dispatch
+    commit = tuple(data.draw(st.integers(0, 1)) for _ in range(inst.n))
+    sol = economic_dispatch(inst, commit)
+    if sol.feasible:
+        assert check_feasible(inst, commit, sol.powers, tol=1e-9).feasible
+    for bits, sol in enumerate_all(inst):
+        if sol.feasible:
+            assert check_feasible(inst, bits, sol.powers, tol=1e-9).feasible
+
+
+def test_near_linear_units_meet_load_exactly():
+    # curvatures 14 orders of magnitude apart, near-linear units tied at b
+    inst = _inst([(20.0, 50.0, 5.0, 21.0, 5e-3), (0.0, 100.0, 5.0, 18.0, 1e-17),
+                  (10.0, 50.0, 5.0, 20.0, 1e-16), (0.0, 100.0, 5.0, 18.0, 1e-16)], load=250.0)
+    for bits, sol in enumerate_all(inst):
+        if sol.feasible:
+            assert check_feasible(inst, bits, sol.powers, tol=1e-9).feasible
+
+
+@given(instances(min_units=1, max_units=6, degenerate=True), st.data())
 def test_dispatch_first_order_conditions(inst, data):
     commit = tuple(data.draw(st.integers(0, 1)) for _ in range(inst.n))
     sol = economic_dispatch(inst, commit)
     if not sol.feasible:
         return
     _, b, c, lo, hi = inst.coeff_arrays
-    on = [i for i, y in enumerate(commit) if y]
+    # a unit with p_min == p_max has a fixed output and no price condition
+    on = [i for i, y in enumerate(commit) if y and lo[i] < hi[i]]
     assert sol.powers.sum() == pytest.approx(inst.load, abs=1e-6 * inst.load + 1e-9)
     marginals = [b[i] + 2 * c[i] * sol.powers[i] for i in on]
     eps = 1e-7 * max(1.0, max(hi))
@@ -120,8 +179,8 @@ def test_dispatch_first_order_conditions(inst, data):
 
 
 def test_grid_oracle_single_unit_matches_dispatch():
-    # bisection stops at a 1e-6*L load residual, bounding the cost gap by
-    # the marginal price times that residual
+    # a lone ON unit carries the whole load in both solvers, so the costs
+    # agree to rounding
     inst = _inst([(10.0, 50.0, 5.0, 2.0, 0.1)], load=30.0)
     fast = economic_dispatch(inst, (1,))
     slow = dispatch_grid_oracle(inst, (1,))
@@ -190,10 +249,10 @@ def test_enumerate_length_and_order_properties():
     assert idx == sorted(idx)
 
 
-@given(instances(min_units=1, max_units=6))
+@given(instances(min_units=1, max_units=6, degenerate=True))
 @settings(max_examples=30)
 def test_enumerate_matches_scalar_dispatch(inst):
-    # pins the vectorized fast path to the per-commitment scalar path
+    # pins the many-row kernel call to the one-row call
     entries = enumerate_all(inst)
     assert len(entries) == 1 << inst.n
     for bits, sol in entries[:4]:
@@ -211,15 +270,22 @@ def test_enumeration_guard():
 
 
 def test_enumerate_handles_zero_curvature_units():
-    units = [(0.0, 60.0, 3.0, 5.0, 0.0), (10.0, 50.0, 4.0, 6.0, 0.02)]
-    inst = _inst(units, load=70.0)
-    entries = enumerate_all(inst)
-    best_bits, best = entries[0]
-    assert best.feasible
-    both = economic_dispatch(inst, (1, 1))
-    solo = economic_dispatch(inst, (1, 0))
-    manual = min(s.cost for s in (both, solo) if s.feasible)
-    assert best.cost == pytest.approx(manual, rel=1e-9)
+    mixed = [(0.0, 60.0, 3.0, 5.0, 0.0), (10.0, 50.0, 4.0, 6.0, 0.02)]
+    # every unit has c = 0; units 0 and 2 tie at b = 5 with p_min > 0
+    steps = [(5.0, 60.0, 3.0, 5.0, 0.0), (10.0, 50.0, 4.0, 6.0, 0.0),
+             (5.0, 40.0, 2.0, 5.0, 0.0)]
+    for units in (mixed, steps):
+        inst = _inst(units, load=70.0)
+        entries = enumerate_all(inst)
+        best_bits, best = entries[0]
+        assert best.feasible
+        scalar = {bits: economic_dispatch(inst, bits) for bits in all_commitments(inst.n)}
+        manual = min(s.cost for s in scalar.values() if s.feasible)
+        assert best.cost == pytest.approx(manual, rel=1e-9)
+        for bits, sol in entries:
+            assert scalar[bits].feasible == sol.feasible
+            if sol.feasible:
+                assert scalar[bits].cost == pytest.approx(sol.cost, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
