@@ -57,12 +57,11 @@ def _load_instance(args) -> UcInstance:
 
 
 def _weights(args, inst: UcInstance) -> PenaltyWeights:
-    default = PenaltyWeights.default_for(inst)
-    return PenaltyWeights(
-        lambda1=default.lambda1 if args.lambda1 is None else args.lambda1,
-        lambda2=default.lambda2 if args.lambda2 is None else args.lambda2,
-        lambda3=default.lambda3 if args.lambda3 is None else args.lambda3,
-    )
+    given = (args.lambda1, args.lambda2, args.lambda3)
+    if None in given:  # default_for raises when max(a) is 0, so ask only when needed
+        default = PenaltyWeights.default_for(inst).lambda1  # all three are equal
+        given = tuple(default if v is None else v for v in given)
+    return PenaltyWeights(*given)
 
 
 def _float_list(text: str) -> list[float]:
@@ -289,7 +288,8 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
 def _add_weight_flags(p: argparse.ArgumentParser) -> None:
     for name in ("lambda1", "lambda2", "lambda3"):
         p.add_argument(f"--{name}", type=float, default=None,
-                       help=f"penalty weight {name} (default: 10*max(a)/L^2)")
+                       help=f"penalty weight {name} (default: 10*max(a)/L^2; "
+                            "required when every a is 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:

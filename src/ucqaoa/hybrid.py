@@ -134,10 +134,11 @@ def _phase_table(diag: np.ndarray) -> np.ndarray:
     changes the units of gamma, so conditioning to zero mean and unit
     spread alters nothing physical while keeping angles near O(1).
     """
-    spread = diag.std()
+    centred = diag - diag.mean()
+    spread = np.sqrt(np.mean(centred * centred))  # == diag.std(), bit for bit
     if spread == 0.0:
         return np.zeros_like(diag)
-    return (diag - diag.mean()) / spread
+    return centred / spread
 
 
 def _distribution_at(
@@ -200,9 +201,9 @@ def run_hybrid(
     """
     if inst.n > qaoa.QUBIT_GUARD:
         raise SizeGuardError(f"instance has {inst.n} units, simulator guard is {qaoa.QUBIT_GUARD}")
+    w = cfg.weights if cfg.weights is not None else PenaltyWeights.default_for(inst)
     if nos is None:
         nos = near_optimal_set(inst, cfg.near_opt_fraction)
-    w = cfg.weights if cfg.weights is not None else PenaltyWeights.default_for(inst)
     rng = np.random.default_rng(cfg.seed)
     theta0 = initial_theta(inst, cfg, rng)
     x0 = theta0.pack()

@@ -5,6 +5,11 @@ load balance, lower generation limit (slack s1), upper generation limit
 (slack s2).  For a fixed continuous assignment (p, s1, s2) the objective
 is quadratic in the binary ON/OFF variables (using y**2 == y), which
 gives the QUBO whose diagonal cost table drives the QAOA circuit.
+
+The QUBO keeps its couplings in a dense strictly upper-triangular matrix;
+the only nonzero coupling is the rank-1 load term 2*lambda1*p[i]*p[j].
+The 2**n cost table is built by doubling over the bits in O(2**n) adds,
+one preallocated array and no per-bit temporaries.
 """
 
 from __future__ import annotations
@@ -38,8 +43,18 @@ class PenaltyWeights:
     @classmethod
     def default_for(cls, inst: UcInstance) -> "PenaltyWeights":
         """Load-scaled default keeping penalty and cost terms commensurate:
-        each weight is 10 * max fixed cost / L**2."""
+        each weight is 10 * max fixed cost / L**2.
+
+        Raises ValidationError when that is zero, as when every fixed cost
+        is 0: the penalties would vanish and the minimizer would settle on
+        the infeasible all-OFF commitment.
+        """
         w = 10.0 * max(u.a for u in inst.units) / inst.load**2
+        if w == 0.0:
+            raise ValidationError(
+                "default penalty weights scale with max(a), which is 0 for this "
+                "instance; pass explicit weights (lambda1, lambda2, lambda3)"
+            )
         return cls(lambda1=w, lambda2=w, lambda3=w)
 
 
@@ -100,23 +115,21 @@ def penalized_objective(
 
 @dataclass(frozen=True, eq=False)
 class Qubo:
-    """constant + sum(linear[i]*y[i]) + sum(quadratic[(i,j)]*y[i]*y[j]), i < j.
+    """constant + linear @ y + y @ quadratic @ y over binary y.
 
-    y[i]**2 terms are folded into linear (y binary); the quadratic map
-    holds no diagonal entries.
+    y[i]**2 terms are folded into linear (y binary); quadratic is an
+    (n, n) float array that is strictly upper triangular, so entry [i, j]
+    with i < j is the coefficient of y[i]*y[j] and the rest is zero.
     """
 
     n: int
     constant: float
     linear: np.ndarray
-    quadratic: dict[tuple[int, int], float]
+    quadratic: np.ndarray
 
     def value(self, commit: Sequence[int]) -> float:
         y = np.asarray(commit, dtype=float)
-        v = self.constant + float(np.dot(self.linear, y))
-        for (i, j), coeff in self.quadratic.items():
-            v += coeff * y[i] * y[j]
-        return v
+        return self.constant + float(self.linear @ y) + float(y @ self.quadratic @ y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +158,6 @@ def build_qubo(inst: UcInstance, w: PenaltyWeights, ca: ContinuousAssignment) ->
     """
     _check_lengths(inst, ca.p)
     a, b, c, lo, hi = inst.coeff_arrays
-    n = inst.n
     p, s1, s2 = ca.p, ca.s1, ca.s2
 
     constant = float(np.sum(b * p + c * p * p))
@@ -154,15 +166,7 @@ def build_qubo(inst: UcInstance, w: PenaltyWeights, ca: ContinuousAssignment) ->
     # lambda1 * (sum(p*y) - L)**2
     constant += w.lambda1 * inst.load**2
     linear += w.lambda1 * (p * p - 2.0 * inst.load * p)
-    quadratic: dict[tuple[int, int], float] = {}
-    if w.lambda1 != 0.0:
-        for i in range(n):
-            if p[i] == 0.0:
-                continue
-            for j in range(i + 1, n):
-                coeff = 2.0 * w.lambda1 * p[i] * p[j]
-                if coeff != 0.0:
-                    quadratic[(i, j)] = coeff
+    quadratic = np.triu(np.outer(2.0 * w.lambda1 * p, p), 1)
 
     # lambda2 * sum((d - p_min*y)**2), d = p - s1
     d = p - s1
@@ -174,38 +178,38 @@ def build_qubo(inst: UcInstance, w: PenaltyWeights, ca: ContinuousAssignment) ->
     constant += w.lambda3 * float(np.sum(e * e))
     linear += w.lambda3 * (hi * hi - 2.0 * e * hi)
 
-    return Qubo(n=n, constant=constant, linear=linear, quadratic=quadratic)
+    return Qubo(n=inst.n, constant=constant, linear=linear, quadratic=quadratic)
 
 
 def qubo_to_ising(q: Qubo) -> IsingModel:
     """Substitute y = (z + 1)/2; values agree exactly at corresponding points."""
-    offset = q.constant + 0.5 * float(q.linear.sum())
-    h = 0.5 * q.linear.copy()
-    j: dict[tuple[int, int], float] = {}
-    for (i, jj), coeff in q.quadratic.items():
-        quarter = 0.25 * coeff
-        offset += quarter
-        h[i] += quarter
-        h[jj] += quarter
-        if quarter != 0.0:
-            j[(i, jj)] = quarter
+    quarter = 0.25 * q.quadratic  # y[i]*y[j] = (z[i]*z[j] + z[i] + z[j] + 1) / 4
+    offset = q.constant + 0.5 * float(q.linear.sum()) + float(quarter.sum())
+    h = 0.5 * q.linear + quarter.sum(axis=1) + quarter.sum(axis=0)
+    rows, cols = np.nonzero(quarter)  # row-major, i < j
+    j = dict(zip(zip(rows.tolist(), cols.tolist()), quarter[rows, cols].tolist()))
     return IsingModel(n=q.n, offset=offset, h=h, j=j)
 
 
 def qubo_diagonal(q: Qubo, guard: int = DIAGONAL_GUARD) -> np.ndarray:
     """Cost table over all 2**n bitstrings; entry k is the QUBO value of the
-    commitment whose unit-i bit is bit i of k (unit 0 = LSB)."""
+    commitment whose unit-i bit is bit i of k (unit 0 = LSB).
+
+    Built by doubling: the entries with top bit m are those below 2**m plus
+    linear[m] plus the couplings quadratic[i, m] of the lower set bits i,
+    whose subset sums are themselves doubled bit by bit in place.  About
+    3 * 2**n adds into the one output array.
+    """
     if q.n > guard:
         raise SizeGuardError(f"diagonal guard is n <= {guard}, got {q.n}")
-    size = 1 << q.n
-    k = np.arange(size, dtype=np.int64)
-    diag = np.full(size, q.constant)
-    bits = []
-    for i in range(q.n):
-        bit = ((k >> i) & 1).astype(float)
-        bits.append(bit)
-        if q.linear[i] != 0.0:
-            diag += q.linear[i] * bit
-    for (i, j), coeff in q.quadratic.items():
-        diag += coeff * (bits[i] * bits[j])
+    diag = np.empty(1 << q.n)
+    diag[0] = q.constant
+    for m in range(q.n):
+        h = 1 << m
+        upper = diag[h : 2 * h]
+        upper[0] = q.linear[m]
+        for i in range(m):
+            lo = 1 << i
+            np.add(upper[:lo], q.quadratic[i, m], out=upper[lo : 2 * lo])
+        upper += diag[:h]
     return diag

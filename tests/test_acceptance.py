@@ -210,9 +210,11 @@ def test_c04_simulator_identities():
     min_overlap = 1.0
     for n in range(1, 7):
         linear = rng.uniform(-5, 5, n)
-        quadratic = {(i, j): rng.uniform(-3, 3)
-                     for i in range(n) for j in range(i + 1, n)
-                     if rng.random() < 0.7}
+        quadratic = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.7:
+                    quadratic[i, j] = rng.uniform(-3, 3)
         from ucqaoa.qubo import Qubo
 
         q = Qubo(n=n, constant=rng.uniform(-2, 2), linear=linear,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 from ucqaoa.baseline import random_instance
 from ucqaoa.cli import main
 from ucqaoa.dispatch import enumerate_all
-from ucqaoa.instance import builtin_ten_unit, serialize_instance
+from ucqaoa.instance import UcInstance, builtin_ten_unit, serialize_instance
 
 
 @pytest.fixture
@@ -282,6 +283,30 @@ def test_exit_code_size_guard(tmp_path, capsys):
     rc = main(["run-hybrid", "--instance", str(big), "--iterations", "5"])
     assert rc == 4
     capsys.readouterr()
+
+
+@pytest.fixture
+def zero_fixed_cost_path(tmp_path):
+    inst = random_instance(3, rng=5)
+    inst = UcInstance(units=tuple(dataclasses.replace(u, a=0.0) for u in inst.units),
+                      load=inst.load)
+    path = tmp_path / "zero_a.json"
+    path.write_text(serialize_instance(inst))
+    return str(path)
+
+
+def test_exit_code_zero_default_weights(zero_fixed_cost_path, capsys):
+    rc = main(["run-hybrid", "--instance", zero_fixed_cost_path, "--iterations", "5",
+               "--lambda1", "1.0"])
+    assert rc == 2
+    assert "explicit weights" in capsys.readouterr().err
+
+
+def test_explicit_weights_run_without_default(zero_fixed_cost_path, capsys):
+    rc = main(["run-hybrid", "--instance", zero_fixed_cost_path, "--iterations", "5",
+               "--lambda1", "1.0", "--lambda2", "1.0", "--lambda3", "1.0"])
+    assert rc == 0
+    assert "iterations=5" in capsys.readouterr().out
 
 
 def test_builtin_token_matches_library(capsys):

@@ -11,6 +11,7 @@ from ucqaoa.errors import InfeasibleError, SizeGuardError, ValidationError
 from ucqaoa.hybrid import (
     HybridConfig,
     ThetaVector,
+    _phase_table,
     initial_theta,
     objective,
     run_hybrid,
@@ -120,7 +121,10 @@ def test_objective_dimension_mismatch():
 @given(instances(min_units=1, max_units=5), st.data())
 @settings(max_examples=25)
 def test_objective_bounded_by_penalized_extremes(inst, data):
-    w = PenaltyWeights.default_for(inst)
+    try:
+        w = PenaltyWeights.default_for(inst)
+    except ValidationError:  # the draw has max(a) == 0, so no default exists
+        w = PenaltyWeights(1.0, 1.0, 1.0)
     gamma = [data.draw(st.floats(-2.0, 2.0))]
     beta = [data.draw(st.floats(-2.0, 2.0))]
     theta = _theta(inst, gamma=gamma, beta=beta)
@@ -130,6 +134,15 @@ def test_objective_bounded_by_penalized_extremes(inst, data):
     val = objective(inst, w, theta)
     slop = 1e-9 * max(1.0, max(abs(v) for v in values))
     assert min(values) - slop <= val <= max(values) + slop
+
+
+def test_phase_table_matches_mean_std_formula():
+    rng = np.random.default_rng(5)
+    for n in range(1, 17):
+        for scale in (1.0, 1e4):
+            diag = scale * rng.standard_normal(1 << n) + rng.uniform(-1e5, 1e5)
+            assert np.array_equal(_phase_table(diag), (diag - diag.mean()) / diag.std())
+    assert np.array_equal(_phase_table(np.full(8, 3.5)), np.zeros(8))
 
 
 # ---------------------------------------------------------------------------
@@ -236,3 +249,13 @@ def test_run_hybrid_guard_and_infeasible():
                               load=500.0)
     with pytest.raises(InfeasibleError):
         run_hybrid(hopeless, HybridConfig(max_iterations=1))
+
+
+def test_run_hybrid_rejects_zero_default_weights():
+    inst = UcInstance(units=(UnitSpec(10.0, 100.0, 0.0, 5.0, 1e-3),
+                             UnitSpec(20.0, 200.0, 0.0, 6.0, 2e-3)), load=150.0)
+    with pytest.raises(ValidationError, match="explicit weights"):
+        run_hybrid(inst, HybridConfig(max_iterations=1))
+    hist = run_hybrid(inst, HybridConfig(max_iterations=1,
+                                         weights=PenaltyWeights(1.0, 1.0, 1.0)))
+    assert len(hist.records) == 2

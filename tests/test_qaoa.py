@@ -23,11 +23,11 @@ angles = st.floats(-2.0 * math.pi, 2.0 * math.pi)
 
 def _random_qubo(rng, n):
     linear = rng.uniform(-5.0, 5.0, size=n)
-    quadratic = {}
+    quadratic = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.6:
-                quadratic[(i, j)] = rng.uniform(-3.0, 3.0)
+                quadratic[i, j] = rng.uniform(-3.0, 3.0)
     return Qubo(n=n, constant=rng.uniform(-2.0, 2.0), linear=linear,
                 quadratic=quadratic)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import instances
 from ucqaoa.errors import SizeGuardError, ValidationError
-from ucqaoa.instance import UcInstance, UnitSpec, all_commitments, builtin_ten_unit
+from ucqaoa.baseline import random_instance
+from ucqaoa.instance import (
+    UcInstance,
+    UnitSpec,
+    all_commitments,
+    builtin_ten_unit,
+    index_to_bits,
+)
 from ucqaoa.qubo import (
     ContinuousAssignment,
     PenaltyWeights,
@@ -119,7 +128,7 @@ def test_build_qubo_hand_expansion():
     ca = ContinuousAssignment(p=[10.0, 20.0], s1=[0.0, 0.0], s2=[0.0, 0.0])
     w = PenaltyWeights(1.0, 0.0, 0.0)
     q = build_qubo(inst, w, ca)
-    assert q.quadratic == {(0, 1): 400.0}
+    assert np.array_equal(q.quadratic, [[0.0, 400.0], [0.0, 0.0]])
     assert q.linear[0] == pytest.approx(-400.0)
     assert q.linear[1] == pytest.approx(-600.0)
     assert q.constant == pytest.approx(625.0)
@@ -131,7 +140,7 @@ def test_build_qubo_zero_weights_leaves_costs():
     ca = ContinuousAssignment(p=p, s1=np.zeros(10), s2=np.zeros(10))
     q = build_qubo(ten, PenaltyWeights(0.0, 0.0, 0.0), ca)
     a, b, c, _, _ = ten.coeff_arrays
-    assert q.quadratic == {}
+    assert not q.quadratic.any()
     assert np.allclose(q.linear, a)
     assert q.constant == pytest.approx(float(np.sum(b * p + c * p * p)))
 
@@ -140,7 +149,8 @@ def test_qubo_has_no_diagonal_quadratic_entries():
     ten = builtin_ten_unit(700.0)
     ca = ContinuousAssignment(p=np.full(10, 50.0), s1=np.zeros(10), s2=np.zeros(10))
     q = build_qubo(ten, PenaltyWeights.default_for(ten), ca)
-    assert all(i < j for (i, j) in q.quadratic)
+    Q = q.quadratic
+    assert np.array_equal(Q, np.triu(Q, 1))
 
 
 @given(instances(min_units=1, max_units=7), st.data())
@@ -159,7 +169,7 @@ def test_qubo_matches_penalized_objective_everywhere(inst, data):
 
 
 def test_ising_single_variable_example():
-    q = Qubo(n=1, constant=0.0, linear=np.array([2.0]), quadratic={})
+    q = Qubo(n=1, constant=0.0, linear=np.array([2.0]), quadratic=np.zeros((1, 1)))
     ising = qubo_to_ising(q)
     assert ising.offset == pytest.approx(1.0)
     assert ising.h[0] == pytest.approx(1.0)
@@ -167,7 +177,7 @@ def test_ising_single_variable_example():
 
 
 def test_ising_zero_qubo():
-    q = Qubo(n=3, constant=0.0, linear=np.zeros(3), quadratic={})
+    q = Qubo(n=3, constant=0.0, linear=np.zeros(3), quadratic=np.zeros((3, 3)))
     ising = qubo_to_ising(q)
     assert ising.offset == 0.0
     assert np.all(ising.h == 0.0)
@@ -179,11 +189,11 @@ def test_ising_zero_qubo():
 def test_ising_round_trip_values(data):
     n = 6
     linear = np.array([data.draw(st.floats(-50.0, 50.0)) for _ in range(n)])
-    quadratic = {}
+    quadratic = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             if data.draw(st.booleans()):
-                quadratic[(i, j)] = data.draw(st.floats(-20.0, 20.0))
+                quadratic[i, j] = data.draw(st.floats(-20.0, 20.0))
     q = Qubo(n=n, constant=data.draw(st.floats(-100.0, 100.0)),
              linear=linear, quadratic=quadratic)
     ising = qubo_to_ising(q)
@@ -197,18 +207,18 @@ def test_ising_round_trip_values(data):
 
 
 def test_diagonal_zero_qubo():
-    q = Qubo(n=2, constant=0.0, linear=np.zeros(2), quadratic={})
+    q = Qubo(n=2, constant=0.0, linear=np.zeros(2), quadratic=np.zeros((2, 2)))
     assert np.array_equal(qubo_diagonal(q), np.zeros(4))
 
 
 def test_diagonal_linear_bit_order():
-    q = Qubo(n=2, constant=0.0, linear=np.array([1.0, 2.0]), quadratic={})
+    q = Qubo(n=2, constant=0.0, linear=np.array([1.0, 2.0]), quadratic=np.zeros((2, 2)))
     # index k sets bit i for unit i: k=1 -> y=(1,0), k=2 -> y=(0,1)
     assert np.array_equal(qubo_diagonal(q), np.array([0.0, 1.0, 2.0, 3.0]))
 
 
 def test_diagonal_guard():
-    q = Qubo(n=21, constant=0.0, linear=np.zeros(21), quadratic={})
+    q = Qubo(n=21, constant=0.0, linear=np.zeros(21), quadratic=np.zeros((21, 21)))
     with pytest.raises(SizeGuardError):
         qubo_diagonal(q)
 
@@ -222,6 +232,62 @@ def test_diagonal_min_matches_brute_force_min():
     diag = qubo_diagonal(build_qubo(ten, w, ca))
     brute = min(penalized_objective(ten, w, bits, ca) for bits in all_commitments(10))
     assert diag.min() == pytest.approx(brute, rel=1e-12)
+
+
+@st.composite
+def upper_qubos(draw):
+    """Strictly upper-triangular QUBOs with n <= 8: sparse couplings of
+    either sign and some columns forced to zero."""
+    n = draw(st.integers(1, 8))
+    coeff = st.floats(-20.0, 20.0)
+    linear = np.array([draw(coeff) for _ in range(n)])
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    quadratic = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j not in zero_cols and draw(st.booleans()):
+                quadratic[i, j] = draw(coeff)
+    return Qubo(n=n, constant=draw(coeff), linear=linear, quadratic=quadratic)
+
+
+@given(upper_qubos())
+@settings(max_examples=300)
+def test_diagonal_matches_value_everywhere(q):
+    diag = qubo_diagonal(q)
+    # relative to the summed term magnitudes, so cancellation to ~0 is fair
+    scale = abs(q.constant) + np.abs(q.linear).sum() + np.abs(q.quadratic).sum()
+    for k in range(1 << q.n):
+        assert diag[k] == pytest.approx(q.value(index_to_bits(k, q.n)),
+                                        rel=1e-12, abs=1e-12 * scale)
+
+
+def test_diagonal_matches_penalized_objective_at_sixteen_units():
+    inst = random_instance(16, rng=4)
+    w = PenaltyWeights.default_for(inst)
+    rng = np.random.default_rng(11)
+    _, _, _, lo, hi = inst.coeff_arrays
+    ca = ContinuousAssignment(p=rng.uniform(lo, hi), s1=rng.uniform(0.0, 50.0, 16),
+                              s2=rng.uniform(0.0, 50.0, 16))
+    diag = qubo_diagonal(build_qubo(inst, w, ca))
+    # every high bit (10-15) is set in some sampled index
+    ks = np.concatenate([[0, (1 << 16) - 1], rng.integers(0, 1 << 16, 198)])
+    for k in ks:
+        bits = index_to_bits(int(k), 16)
+        assert diag[k] == pytest.approx(penalized_objective(inst, w, bits, ca), rel=1e-12)
+
+
+def test_diagonal_allocates_only_its_table():
+    n = 16
+    rng = np.random.default_rng(2)
+    q = Qubo(n=n, constant=1.0, linear=rng.uniform(-5.0, 5.0, n),
+             quadratic=np.triu(rng.uniform(-3.0, 3.0, (n, n)), 1))
+    tracemalloc.start()
+    try:
+        qubo_diagonal(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * (1 << n)
 
 
 # ---------------------------------------------------------------------------
