@@ -54,7 +54,6 @@ from .metrics import (
     avg_hamming_top_k,
     compute_snapshot,
     export_history,
-    hamming,
     load_history,
     near_opt_probability,
     top_k,

@@ -3,7 +3,9 @@
 Packs all continuous decision variables into one flat vector, evaluates
 the QAOA expectation of the penalized objective at each proposal, and
 minimizes with the simplex method while recording convergence metrics
-against a brute-force near-optimal set.
+against a brute-force near-optimal set.  Each proposal is simulated once:
+the metric snapshots read the distribution the objective already computed
+at the best vertex.
 
 The phase separator sees a standardized (zero-mean, unit-spread) copy of
 the cost table; the reported expectation always uses the true table.
@@ -120,11 +122,6 @@ class RunHistory:
     final_distribution: np.ndarray
 
 
-def _diagonal_at(inst: UcInstance, w: PenaltyWeights, theta: ThetaVector) -> np.ndarray:
-    ca = ContinuousAssignment(p=np.abs(theta.p), s1=np.abs(theta.s1), s2=np.abs(theta.s2))
-    return qubo_diagonal(build_qubo(inst, w, ca))
-
-
 def _phase_table(diag: np.ndarray) -> np.ndarray:
     """Standardized copy of the cost table used for the phase separator.
 
@@ -141,19 +138,21 @@ def _phase_table(diag: np.ndarray) -> np.ndarray:
     return centred / spread
 
 
-def _distribution_at(
+def _evaluate(
     inst: UcInstance,
     w: PenaltyWeights,
     theta: ThetaVector,
     shots: int = 0,
     rng=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    diag = _diagonal_at(inst, w, theta)
+) -> tuple[float, np.ndarray]:
+    """Expectation at theta and the distribution it was taken over."""
+    ca = ContinuousAssignment(p=np.abs(theta.p), s1=np.abs(theta.s1), s2=np.abs(theta.s2))
+    diag = qubo_diagonal(build_qubo(inst, w, ca))
     params = qaoa.VariationalParams(theta.gamma, theta.beta)
     probs = qaoa.qaoa_distribution(_phase_table(diag), params)
     if shots > 0:
         probs = qaoa.sample(probs, shots, rng) / shots
-    return diag, probs
+    return qaoa.expectation(probs, diag), probs
 
 
 def objective(
@@ -172,8 +171,7 @@ def objective(
     """
     if theta.n_units != inst.n:
         raise ValidationError(f"theta is for {theta.n_units} units, instance has {inst.n}")
-    diag, probs = _distribution_at(inst, w, theta, shots, rng)
-    return qaoa.expectation(probs, diag)
+    return _evaluate(inst, w, theta, shots, rng)[0]
 
 
 def initial_theta(inst: UcInstance, cfg: HybridConfig, seed=None) -> ThetaVector:
@@ -195,9 +193,12 @@ def run_hybrid(
     """Full hybrid run: simplex descent with metric snapshots.
 
     Snapshots land at iteration 0, every metric-cadence iterations, and at
-    the final iteration; each records the distribution at the current best
-    vertex scored against the near-optimal set (computed up front by brute
-    force unless supplied).
+    the final iteration; each scores the distribution the optimizer
+    evaluated at its current best vertex against the near-optimal set
+    (computed up front by brute force unless supplied).  Snapshots
+    simulate nothing and draw no random numbers: with shots > 0 they
+    report the sampled histogram behind the recorded objective, and the
+    cadence only selects which iterations are written.
     """
     if inst.n > qaoa.QUBIT_GUARD:
         raise SizeGuardError(f"instance has {inst.n} units, simulator guard is {qaoa.QUBIT_GUARD}")
@@ -211,36 +212,36 @@ def run_hybrid(
 
     start = time.perf_counter()
     records: list[HistoryRecord] = []
+    # Each vertex is simulated once, here.  nelder_mead accepts every point
+    # that beats its best vertex, and its stable sort keeps the older vertex
+    # first on a tie, so the distribution of the lowest value seen so far
+    # (strict <) is the one at simplex[0] whenever the callback fires.
+    best_value, best_probs = np.inf, None
 
-    def snapshot_distribution(x: np.ndarray) -> np.ndarray:
+    def fun(x: np.ndarray) -> float:
+        nonlocal best_value, best_probs
         theta = ThetaVector.unpack(x, cfg.depth, inst.n)
-        _, probs = _distribution_at(inst, w, theta, cfg.shots, rng)
-        return probs
+        value, probs = _evaluate(inst, w, theta, cfg.shots, rng)
+        if value < best_value:
+            best_value, best_probs = value, probs
+        return value
 
-    def record(iteration: int, x: np.ndarray, fval: float) -> np.ndarray:
-        probs = snapshot_distribution(x)
-        snap = _metrics.compute_snapshot(probs, nos, k=k_top)
+    def record(iteration: int, fval: float) -> None:
+        snap = _metrics.compute_snapshot(best_probs, nos, k=k_top)
         records.append(
             HistoryRecord(
                 iter=iteration,
                 objective=float(fval),
                 near_opt_prob=snap.near_opt_prob,
                 avg_hamming_top50=snap.avg_hamming_top50,
-                best_bitstring=index_to_string(int(np.argmax(probs)), inst.n),
+                best_bitstring=index_to_string(int(np.argmax(best_probs)), inst.n),
                 elapsed_ms=(time.perf_counter() - start) * 1e3,
             )
         )
-        return probs
-
-    last_probs = {"value": None}
 
     def callback(iteration: int, x: np.ndarray, fval: float) -> None:
         if iteration % cfg.metric_cadence == 0:
-            last_probs["value"] = record(iteration, x, fval)
-
-    def fun(x: np.ndarray) -> float:
-        theta = ThetaVector.unpack(x, cfg.depth, inst.n)
-        return objective(inst, w, theta, shots=cfg.shots, rng=rng)
+            record(iteration, fval)
 
     result = nelder_mead(
         fun,
@@ -250,10 +251,8 @@ def run_hybrid(
         tol_f=cfg.tol_f,
         callback=callback,
     )
-
-    final_probs = last_probs["value"]
-    if not records or records[-1].iter != result.iterations:
-        final_probs = record(result.iterations, result.x, result.fun)
+    if records[-1].iter != result.iterations:
+        record(result.iterations, result.fun)
 
     final = ThetaVector.unpack(result.x, cfg.depth, inst.n)
     final = ThetaVector(
@@ -266,5 +265,5 @@ def run_hybrid(
     return RunHistory(
         records=tuple(records),
         final_theta=final,
-        final_distribution=final_probs,
+        final_distribution=best_probs,
     )

@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -155,11 +155,6 @@ def index_to_string(k: int, n: int) -> str:
 
 # ---------------------------------------------------------------------------
 # cost and feasibility
-
-def unit_cost(u: UnitSpec, y: int, p: float) -> float:
-    """a*y + b*p + c*p**2, evaluated literally (b/c terms ignore y)."""
-    return u.a * y + u.b * p + u.c * p * p
-
 
 def _check_lengths(inst: UcInstance, *vectors: Sequence) -> None:
     for v in vectors:
@@ -302,9 +297,3 @@ def builtin_ten_unit(load: float = 700.0) -> UcInstance:
         for (p_max, p_min, a, b, c) in _TEN_UNIT_ROWS
     )
     return UcInstance(units=units, load=load, name="ten-unit")
-
-
-def all_commitments(n: int) -> Iterable[Commitment]:
-    """All 2**n commitments in ascending index order."""
-    for k in range(1 << n):
-        yield index_to_bits(k, n)

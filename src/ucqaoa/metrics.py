@@ -10,23 +10,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .dispatch import NearOptimalSet
 from .errors import ValidationError
-from .instance import index_to_string
 
 HISTORY_FIELDS = ("iter", "objective", "near_opt_prob", "avg_hamming_top50",
                   "best_bitstring", "elapsed_ms")
-
-
-def hamming(a: Union[str, Sequence[int]], b: Union[str, Sequence[int]]) -> int:
-    """Number of positions at which two equal-length bitstrings differ."""
-    if len(a) != len(b):
-        raise ValidationError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(int(x) != int(y) for x, y in zip(a, b))
 
 
 def _check_dim(probs: np.ndarray, nos: NearOptimalSet) -> np.ndarray:
@@ -69,7 +60,6 @@ def avg_hamming_top_k(probs: np.ndarray, nos: NearOptimalSet, k: int = 50) -> fl
 class MetricSnapshot:
     near_opt_prob: float
     avg_hamming_top50: float
-    top_bitstrings: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.near_opt_prob <= 1.0 + 1e-12:
@@ -80,11 +70,9 @@ class MetricSnapshot:
 
 def compute_snapshot(probs: np.ndarray, nos: NearOptimalSet, k: int = 50) -> MetricSnapshot:
     probs = _check_dim(probs, nos)
-    ranked = top_k(probs, k)
     return MetricSnapshot(
         near_opt_prob=near_opt_probability(probs, nos),
         avg_hamming_top50=avg_hamming_top_k(probs, nos, k),
-        top_bitstrings=tuple(index_to_string(int(i), nos.n) for i in ranked),
     )
 
 

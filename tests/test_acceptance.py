@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import all_commitments
 from ucqaoa.baseline import (
     random_instance,
     scaling_benchmark,
@@ -31,7 +32,6 @@ from ucqaoa.hybrid import HybridConfig, run_hybrid
 from ucqaoa.instance import (
     UcInstance,
     UnitSpec,
-    all_commitments,
     builtin_ten_unit,
     index_to_bits,
     serialize_instance,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instances
+from oracles import all_commitments
 from ucqaoa.baseline import (
     BNB_GUARD,
     OFF,
@@ -19,7 +20,7 @@ from ucqaoa.baseline import (
 )
 from ucqaoa.dispatch import economic_dispatch, enumerate_all
 from ucqaoa.errors import InfeasibleError, SizeGuardError, ValidationError
-from ucqaoa.instance import all_commitments, builtin_ten_unit
+from ucqaoa.instance import builtin_ten_unit
 
 
 def _completions(fixed):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instances
+from oracles import all_commitments
 from ucqaoa.dispatch import (
     INFEASIBLE_COST,
     dispatch_grid_oracle,
@@ -17,7 +18,6 @@ from ucqaoa.errors import InfeasibleError, SizeGuardError, ValidationError
 from ucqaoa.instance import (
     UcInstance,
     UnitSpec,
-    all_commitments,
     bits_to_index,
     builtin_ten_unit,
     check_feasible,

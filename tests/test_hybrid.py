@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instances
+from oracles import all_commitments
 from ucqaoa.baseline import random_instance
 from ucqaoa.errors import InfeasibleError, SizeGuardError, ValidationError
 from ucqaoa.hybrid import (
@@ -16,8 +18,17 @@ from ucqaoa.hybrid import (
     objective,
     run_hybrid,
 )
-from ucqaoa.instance import UcInstance, UnitSpec, all_commitments
-from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights, penalized_objective
+from ucqaoa import hybrid, qaoa
+from ucqaoa.dispatch import near_optimal_set
+from ucqaoa.instance import UcInstance, UnitSpec, index_to_string
+from ucqaoa.metrics import compute_snapshot
+from ucqaoa.qubo import (
+    ContinuousAssignment,
+    PenaltyWeights,
+    build_qubo,
+    penalized_objective,
+    qubo_diagonal,
+)
 
 
 def _theta(inst, gamma, beta, seed=0):
@@ -238,6 +249,75 @@ def test_run_hybrid_with_shots_smoke():
     hist = run_hybrid(inst, cfg)
     assert hist.final_distribution.sum() == pytest.approx(1.0, abs=1e-9)
     assert len(hist.records) == 3
+
+
+def test_shot_mode_does_not_depend_on_cadence():
+    inst = random_instance(6, rng=17)
+    hists = {
+        cadence: run_hybrid(inst, HybridConfig(depth=1, max_iterations=100,
+                                               metric_cadence=cadence, shots=200, seed=0))
+        for cadence in (5, 10, 100)
+    }
+    ref = hists[5]
+    by_iter = {r.iter: dataclasses.replace(r, elapsed_ms=0.0) for r in ref.records}
+    for cadence, hist in hists.items():
+        assert np.array_equal(hist.final_theta.pack(), ref.final_theta.pack()), cadence
+        assert np.array_equal(hist.final_distribution, ref.final_distribution), cadence
+        for r in hist.records:
+            assert dataclasses.replace(r, elapsed_ms=0.0) == by_iter[r.iter], (cadence, r.iter)
+
+
+def _fresh_distribution(inst, w, theta):
+    ca = ContinuousAssignment(p=np.abs(theta.p), s1=np.abs(theta.s1), s2=np.abs(theta.s2))
+    diag = qubo_diagonal(build_qubo(inst, w, ca))
+    return qaoa.qaoa_distribution(_phase_table(diag),
+                                  qaoa.VariationalParams(theta.gamma, theta.beta))
+
+
+def test_each_vertex_is_simulated_once(monkeypatch):
+    inst = random_instance(6, rng=17)
+    cfg = HybridConfig(depth=2, max_iterations=60, metric_cadence=7, seed=0)
+    simulations = 0
+    real_distribution = qaoa.qaoa_distribution
+
+    def counting_distribution(*args, **kwargs):
+        nonlocal simulations
+        simulations += 1
+        return real_distribution(*args, **kwargs)
+
+    results, best_vertices = [], {}
+    real_nelder_mead = hybrid.nelder_mead
+
+    def capturing_nelder_mead(*args, callback, **kwargs):
+        def spy(iteration, x, fval):
+            best_vertices[iteration] = x.copy()
+            callback(iteration, x, fval)
+
+        results.append(real_nelder_mead(*args, callback=spy, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(qaoa, "qaoa_distribution", counting_distribution)
+    monkeypatch.setattr(hybrid, "nelder_mead", capturing_nelder_mead)
+    hist = run_hybrid(inst, cfg)
+    monkeypatch.undo()
+
+    (result,) = results
+    assert simulations == result.fevals
+    assert hist.records[-1].iter == result.iterations == 60
+    assert hist.records[-1].objective == result.fun
+
+    w = PenaltyWeights.default_for(inst)
+    nos = near_optimal_set(inst, cfg.near_opt_fraction)
+    fresh = _fresh_distribution(inst, w, hist.final_theta)
+    assert np.array_equal(hist.final_distribution, fresh)
+    # every record scores the distribution at the vertex the callback saw
+    for r in hist.records:
+        theta = ThetaVector.unpack(best_vertices[r.iter], cfg.depth, inst.n)
+        probs = _fresh_distribution(inst, w, theta)
+        snap = compute_snapshot(probs, nos)
+        assert (r.near_opt_prob, r.avg_hamming_top50, r.best_bitstring) == (
+            snap.near_opt_prob, snap.avg_hamming_top50,
+            index_to_string(int(np.argmax(probs)), inst.n)), r.iter
 
 
 def test_run_hybrid_guard_and_infeasible():

@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import instances, unit_specs
+from oracles import all_commitments, unit_cost
 from ucqaoa.errors import ValidationError
 from ucqaoa.instance import (
     UcInstance,
     UnitSpec,
-    all_commitments,
     bits_to_index,
     bits_to_string,
     builtin_ten_unit,
@@ -21,7 +21,6 @@ from ucqaoa.instance import (
     serialize_instance,
     string_to_bits,
     total_cost,
-    unit_cost,
 )
 
 

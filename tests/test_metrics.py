@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import hamming
 from ucqaoa.dispatch import NearOptimalSet, near_optimal_set
 from ucqaoa.errors import ValidationError
 from ucqaoa.hybrid import HistoryRecord, HybridConfig, run_hybrid
@@ -11,7 +12,6 @@ from ucqaoa.metrics import (
     avg_hamming_top_k,
     compute_snapshot,
     export_history,
-    hamming,
     load_history,
     near_opt_probability,
     top_k,
@@ -153,7 +153,7 @@ def test_snapshot_fields_consistent():
     probs = np.array([0.1, 0.2, 0.3, 0.4])
     snap = compute_snapshot(probs, nos, k=3)
     assert snap.near_opt_prob == pytest.approx(0.4)
-    assert snap.top_bitstrings == ("11", "01", "10")
+    assert list(top_k(probs, 3)) == [3, 2, 1]  # "11", "01", "10" unit-0-first
     assert snap.avg_hamming_top50 == pytest.approx((0 + 1 + 1) / 3)
 
 
@@ -161,9 +161,9 @@ def test_snapshot_validates_ranges():
     from ucqaoa.metrics import MetricSnapshot
 
     with pytest.raises(ValidationError):
-        MetricSnapshot(near_opt_prob=1.5, avg_hamming_top50=0.0, top_bitstrings=())
+        MetricSnapshot(near_opt_prob=1.5, avg_hamming_top50=0.0)
     with pytest.raises(ValidationError):
-        MetricSnapshot(near_opt_prob=0.5, avg_hamming_top50=-1.0, top_bitstrings=())
+        MetricSnapshot(near_opt_prob=0.5, avg_hamming_top50=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instances
+from oracles import all_commitments
 from ucqaoa.errors import SizeGuardError, ValidationError
 from ucqaoa.baseline import random_instance
 from ucqaoa.instance import (
     UcInstance,
     UnitSpec,
-    all_commitments,
     builtin_ten_unit,
     index_to_bits,
 )
