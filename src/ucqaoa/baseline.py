@@ -3,8 +3,11 @@
 Exact and gap-tolerance approximate solving of the mixed-binary UC
 program.  Nodes fix a subset of units ON or OFF; the bound relaxes every
 undecided unit to a free [0, p_max] generator with no startup cost, which
-never overestimates any completion.  Also hosts the random-instance
-generator and the runtime-scaling benchmark behind `bench-classical`.
+never overestimates any completion.  Branching splits a node into an ON
+and an OFF child, and both children are bounded together: their relaxed
+dispatches are the two rows of one exact dispatch solve.  Also hosts the
+random-instance generator and the runtime-scaling benchmark behind
+`bench-classical`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dispatch import DispatchSolution, dispatch_within_boxes, economic_dispatch
+from .dispatch import DispatchSolution, _dispatch_rows, economic_dispatch
 from .errors import InfeasibleError, SizeGuardError, ValidationError
 from .instance import Commitment, UcInstance, UnitSpec
 
@@ -45,29 +48,38 @@ def node_lower_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
     [0, p_max] for free.  Infinite when no completion can cover the load.
 
     A fully fixed node has no relaxation left, so it delegates to the
-    economic dispatch of its commitment (same value, one dispatch solve)."""
-    _, b, c, lo, hi = _bound_arrays(inst, fixed)
-    a = inst.coeff_arrays[0]
-    states = np.asarray(fixed)
-    if not np.any(states == UNDECIDED):
-        sol = _leaf_solution(inst, fixed)
-        return sol.cost if sol.feasible else math.inf
-    fixed_cost = float(a[states == ON].sum())
-    powers = dispatch_within_boxes(b, c, lo, hi, inst.load)
-    if powers is None:
-        return math.inf
-    variable = float(np.sum(b * powers + c * powers * powers))
-    return fixed_cost + variable
-
-
-def _bound_arrays(inst: UcInstance, fixed: Sequence[int]):
+    economic dispatch of its commitment (same value, one dispatch solve).
+    This is the one-row call of the sibling bound `solve_approx` uses, so
+    a node is bounded identically alone and beside its sibling."""
     states = np.asarray(fixed)
     if states.size != inst.n:
         raise ValidationError(f"partial assignment has {states.size} entries, expected {inst.n}")
+    return float(_node_bounds(inst, states[None])[0])
+
+
+def _node_bounds(inst: UcInstance, states: np.ndarray) -> np.ndarray:
+    """`node_lower_bound` of every row of a ``(k, n)`` state array.
+
+    Rows with an undecided unit share one exact dispatch solve; fully
+    fixed rows each take the economic dispatch of their commitment."""
     a, b, c, lo, hi = inst.coeff_arrays
-    box_lo = np.where(states == ON, lo, 0.0)
-    box_hi = np.where(states == OFF, 0.0, hi)
-    return a, b, c, box_lo, box_hi
+    bounds = np.empty(len(states))
+    relaxed = (states == UNDECIDED).any(axis=1)
+    for k in np.flatnonzero(~relaxed):
+        sol = _leaf_solution(inst, states[k])
+        bounds[k] = sol.cost if sol.feasible else math.inf
+    if relaxed.any():
+        rows = states[relaxed]
+        on = rows == ON
+        powers, feasible = _dispatch_rows(
+            b, c, np.where(on, lo, 0.0), np.where(rows == OFF, 0.0, hi), inst.load
+        )
+        # per-row sums over the ON units alone, so the rounding matches a
+        # single node's bound exactly
+        fixed_cost = [a[mask].sum() for mask in on]
+        variable = (b * powers + c * powers * powers).sum(axis=1)
+        bounds[relaxed] = np.where(feasible, fixed_cost + variable, math.inf)
+    return bounds
 
 
 def _leaf_solution(inst: UcInstance, fixed: Sequence[int]) -> DispatchSolution:
@@ -96,33 +108,34 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
         incumbent = tuple(1 for _ in range(inst.n))
         incumbent_dispatch = sol
 
-    root = (UNDECIDED,) * inst.n
+    # the unit with the largest p_max is branched on first, lowest index
+    # first among ties; every node at depth d has fixed order[:d] exactly
+    order = sorted(range(inst.n), key=lambda i: (-hi[i], i))
+    root = np.full(inst.n, UNDECIDED)
     counter = itertools.count()
-    heap = [(node_lower_bound(inst, root), next(counter), root)]
+    heap = [(node_lower_bound(inst, root), next(counter), 0, root)]
     nodes_expanded = 0
     final_lb = math.inf
 
     while heap:
-        bound, _, fixed = heapq.heappop(heap)
+        bound, _, depth, fixed = heapq.heappop(heap)
         final_lb = bound
         if incumbent_cost <= (1.0 + gap) * bound:
             break
         nodes_expanded += 1
-        undecided = [i for i, s in enumerate(fixed) if s == UNDECIDED]
-        if not undecided:
+        if depth == inst.n:
             sol = _leaf_solution(inst, fixed)
             if sol.feasible and sol.cost < incumbent_cost:
                 incumbent_cost = sol.cost
                 incumbent = tuple(int(s == ON) for s in fixed)
                 incumbent_dispatch = sol
             continue
-        branch = max(undecided, key=lambda i: (hi[i], -i))
-        for state in (ON, OFF):
-            child = fixed[:branch] + (state,) + fixed[branch + 1 :]
-            child_bound = node_lower_bound(inst, child)
+        children = np.array((fixed, fixed))
+        children[:, order[depth]] = (ON, OFF)
+        for child, child_bound in zip(children, _node_bounds(inst, children).tolist()):
             if incumbent_cost <= (1.0 + gap) * child_bound:
                 continue
-            heapq.heappush(heap, (max(child_bound, bound), next(counter), child))
+            heapq.heappush(heap, (max(child_bound, bound), next(counter), depth + 1, child))
     else:
         final_lb = incumbent_cost  # tree exhausted: the incumbent is optimal
 
@@ -177,27 +190,32 @@ def scaling_benchmark(
     gap: float = 0.08,
     seed: int = 0,
     measure_time: bool = True,
-) -> list[tuple[int, str, float, float]]:
-    """Rows of (n, mode, median_ms, cost) for exact and approximate modes.
+) -> list[tuple[int, str, float, float, float]]:
+    """Rows of (n, mode, median_ms, cost, nodes_expanded) for exact and
+    approximate modes; cost and nodes_expanded are medians too.
 
     One shared instance stream per size keeps exact/approx comparisons
-    paired.  `measure_time=False` writes 0.0 for every timing so the CSV
-    is reproducible byte for byte.
+    paired.  Node counts are the noise-free measure of the search work.
+    `measure_time=False` writes 0.0 for every timing so the CSV is
+    reproducible byte for byte.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    rows: list[tuple[int, str, float, float]] = []
+    rows: list[tuple[int, str, float, float, float]] = []
     for n in sizes:
         instances = [random_instance(n, rng) for _ in range(trials)]
         for mode in ("exact", "approx"):
             times_ms: list[float] = []
             costs: list[float] = []
+            nodes: list[int] = []
             for inst in instances:
                 t0 = time.perf_counter()
                 report = solve_exact(inst) if mode == "exact" else solve_approx(inst, gap)
                 times_ms.append((time.perf_counter() - t0) * 1e3)
                 costs.append(report.dispatch.cost)
+                nodes.append(report.nodes_expanded)
             median_ms = statistics.median(times_ms) if measure_time else 0.0
-            rows.append((n, mode, median_ms, statistics.median(costs)))
+            rows.append((n, mode, median_ms, statistics.median(costs),
+                         float(statistics.median(nodes))))
     return rows

@@ -234,8 +234,9 @@ def cmd_bench_classical(args) -> int:
         seed=args.seed,
         measure_time=args.wall_times,
     )
-    out_rows = [[n, mode, _fmt(ms), _fmt(cost)] for n, mode, ms, cost in rows]
-    _write_rows(args.out, ["n", "mode", "median_ms", "cost"], out_rows)
+    out_rows = [[n, mode, _fmt(ms), _fmt(cost), _fmt(nodes)]
+                for n, mode, ms, cost, nodes in rows]
+    _write_rows(args.out, ["n", "mode", "median_ms", "cost", "nodes_expanded"], out_rows)
     if args.gnuplot and args.out is not None:
         _gnuplot_scaling(args.out, _stem(args.out) + ".gp")
     return 0

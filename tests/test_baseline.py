@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import instances
-from oracles import all_commitments
+from oracles import all_commitments, single_node_bound
 from ucqaoa.baseline import (
     BNB_GUARD,
     OFF,
     ON,
     UNDECIDED,
+    _node_bounds,
     node_lower_bound,
     random_instance,
     scaling_benchmark,
@@ -20,7 +21,7 @@ from ucqaoa.baseline import (
 )
 from ucqaoa.dispatch import economic_dispatch, enumerate_all
 from ucqaoa.errors import InfeasibleError, SizeGuardError, ValidationError
-from ucqaoa.instance import builtin_ten_unit
+from ucqaoa.instance import UcInstance, UnitSpec, builtin_ten_unit
 
 
 def _completions(fixed):
@@ -90,6 +91,44 @@ def test_bound_rejects_wrong_length():
         node_lower_bound(builtin_ten_unit(700.0), (ON,) * 3)
 
 
+@st.composite
+def _branch_points(draw):
+    """An instance, a partial assignment and the undecided unit branched on.
+
+    Generator draws carry arbitrary float costs over up to 10 units, where
+    the order of a sum changes its rounding (numpy sums blocks of 8)."""
+    inst = draw(st.one_of(instances(max_units=10), instances(max_units=10, degenerate=True),
+                          st.builds(random_instance, st.integers(8, 10),
+                                    st.integers(0, 2**32 - 1))))
+    states = draw(st.lists(st.sampled_from((ON, OFF, UNDECIDED)),
+                           min_size=inst.n, max_size=inst.n))
+    branch = draw(st.integers(0, inst.n - 1))
+    states[branch] = UNDECIDED
+    return inst, states, branch
+
+
+# three 100 MW units against 250 MW: with unit 2 OFF every child is infeasible
+_SHORT = UcInstance(units=(UnitSpec(p_min=10.0, p_max=100.0, a=500.0, b=20.0, c=0.004),) * 3,
+                    load=250.0)
+
+
+@given(_branch_points())
+@example((_SHORT, [UNDECIDED, UNDECIDED, OFF], 0))
+@settings(max_examples=60)
+def test_sibling_bounds_equal_single_node_bounds(point):
+    # solve_approx bounds both children in one two-row solve; each row must
+    # be bit-identical to the child bounded alone, or the search could change
+    inst, states, branch = point
+    leaf_parent = [ON if s == UNDECIDED else s for s in states]
+    leaf_parent[branch] = UNDECIDED  # its children are fully fixed
+    for parent in (states, leaf_parent):
+        children = np.array((parent, parent))
+        children[:, branch] = (ON, OFF)
+        expected = [single_node_bound(inst, child) for child in children]
+        assert _node_bounds(inst, children).tolist() == expected
+        assert [node_lower_bound(inst, tuple(child)) for child in children] == expected
+
+
 # ---------------------------------------------------------------------------
 # exact solving
 
@@ -114,6 +153,56 @@ def test_ten_unit_node_count_frozen():
     # deterministic best-first search: a changed count means a changed search
     report = solve_exact(builtin_ten_unit(700.0))
     assert report.nodes_expanded == 21
+
+
+# solve_exact, then solve_approx(gap=0.08), on random_instance(10, rng=seed):
+# (seed, exact commitment, cost, nodes, approx commitment, cost, nodes)
+_PINNED_SEARCHES = [
+    (0, "0100110001", 37211.799857255435, 71, "0100110001", 37211.799857255435, 71),
+    (1, "0100001110", 30603.43618646355, 26, "0100001110", 30603.43618646355, 26),
+    (2, "1000110001", 28270.761485378076, 41, "1000110001", 28270.761485378076, 41),
+    (3, "1110001011", 28617.993800830634, 187, "1110001011", 28617.993800830634, 187),
+    (4, "1000101011", 38205.927304027595, 45, "1000101011", 38205.927304027595, 45),
+    (5, "0111010001", 29106.801058931913, 146, "0111010001", 29106.801058931913, 146),
+    (6, "1110100101", 35428.43923131968, 195, "1110100101", 35428.43923131968, 195),
+    (7, "0011010101", 31685.32742204697, 46, "0011010101", 31685.32742204697, 46),
+    (8, "0101100001", 28050.152827793667, 37, "0101100001", 28050.152827793667, 37),
+    (9, "1000111001", 36543.5492865334, 37, "1000111001", 36543.5492865334, 37),
+    (10, "1000111100", 32951.999266580606, 48, "1000111100", 32951.999266580606, 48),
+    (11, "0110010001", 24590.367097099992, 25, "0110010001", 24590.367097099992, 25),
+    (12, "0000101011", 28138.774986859185, 33, "0000101011", 28138.774986859185, 33),
+    (13, "1100010010", 36971.31636574927, 29, "1100010010", 36971.31636574927, 29),
+    (14, "0001011101", 45664.815079901186, 136, "1111111111", 48651.153073559486, 69),
+    (15, "1010001110", 29343.597078277122, 65, "1010001110", 29343.597078277122, 65),
+    (16, "1110100001", 32549.64415322968, 49, "1110100001", 32549.64415322968, 49),
+    (17, "1011000100", 28864.3411489949, 54, "1011000100", 28864.3411489949, 54),
+    (18, "1010100110", 30440.88828158785, 50, "1010100110", 30440.88828158785, 50),
+    (19, "1110001001", 33903.793969011975, 78, "1110001001", 33903.793969011975, 78),
+    (20, "1100000101", 24642.847839660215, 30, "1100000101", 24642.847839660215, 30),
+    (21, "0101011101", 36148.65822490179, 90, "0101011101", 36148.65822490179, 90),
+    (22, "0110001101", 33057.04289286667, 80, "0110001101", 33057.04289286667, 80),
+    (23, "0000111101", 32703.515045323053, 78, "0000111101", 32703.515045323053, 78),
+    (24, "0010101110", 32662.72406882346, 19, "0010101110", 32662.72406882346, 19),
+    (25, "1000001110", 21196.283882162355, 83, "1000001110", 21196.283882162355, 83),
+    (26, "1010100111", 33092.33529907977, 264, "1010100111", 33092.33529907977, 264),
+    (27, "1001011001", 29872.123056094948, 58, "1001011001", 29872.123056094948, 58),
+    (28, "1011110100", 42166.4849094933, 116, "1111111111", 45469.48341462268, 107),
+    (29, "0101001110", 19830.899729553727, 72, "0101001110", 19830.899729553727, 72),
+]
+
+
+@pytest.mark.parametrize("seed,exact_bits,exact_cost,exact_nodes,approx_bits,approx_cost,"
+                         "approx_nodes", _PINNED_SEARCHES)
+def test_search_pinned_on_ten_unit_draws(seed, exact_bits, exact_cost, exact_nodes,
+                                         approx_bits, approx_cost, approx_nodes):
+    # node counts move whenever the bounds or the order of heap ties change
+    inst = random_instance(10, rng=seed)
+    for report, bits, cost, nodes in ((solve_exact(inst), exact_bits, exact_cost, exact_nodes),
+                                      (solve_approx(inst, 0.08), approx_bits, approx_cost,
+                                       approx_nodes)):
+        assert "".join(map(str, report.commitment)) == bits
+        assert report.dispatch.cost == pytest.approx(cost, rel=1e-12)
+        assert report.nodes_expanded == nodes
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -237,9 +326,16 @@ def test_scaling_benchmark_shape_and_determinism():
     again = scaling_benchmark([3, 5], trials=3, gap=0.08, seed=4,
                               measure_time=False)
     assert rows == again
-    by_size = {(r[0], r[1]): r[3] for r in rows}
+    by_size = {(n, mode): (cost, nodes) for n, mode, _, cost, nodes in rows}
     for n in (3, 5):
-        assert by_size[(n, "approx")] >= by_size[(n, "exact")] * (1 - 1e-9)
+        (exact_cost, exact_nodes), (approx_cost, approx_nodes) = (
+            by_size[(n, "exact")], by_size[(n, "approx")])
+        assert approx_cost >= exact_cost * (1 - 1e-9)
+        # per draw approx expands no more nodes than exact, so neither does the median
+        assert 1 <= approx_nodes <= exact_nodes
+    rng = np.random.default_rng(4)
+    draws = [random_instance(3, rng) for _ in range(3)]
+    assert by_size[(3, "exact")][1] == np.median([solve_exact(i).nodes_expanded for i in draws])
 
 
 def test_scaling_benchmark_measures_time_by_default():

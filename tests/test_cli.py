@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from ucqaoa.baseline import random_instance
+from ucqaoa.baseline import random_instance, scaling_benchmark
 from ucqaoa.cli import main
 from ucqaoa.dispatch import enumerate_all
 from ucqaoa.instance import UcInstance, builtin_ten_unit, serialize_instance
@@ -211,10 +211,13 @@ def test_bench_classical_csv(tmp_path):
                "--no-wall-times", "--out", out, "--gnuplot"])
     assert rc == 0
     rows = _read_csv(out)
-    assert rows[0] == ["n", "mode", "median_ms", "cost"]
+    assert rows[0] == ["n", "mode", "median_ms", "cost", "nodes_expanded"]
     assert [(r[0], r[1]) for r in rows[1:]] == [
         ("3", "exact"), ("3", "approx"), ("4", "exact"), ("4", "approx")]
     assert all(r[2] == "0.0" for r in rows[1:])
+    expected = scaling_benchmark([3, 4], trials=2, measure_time=False)
+    assert [(float(r[3]), float(r[4])) for r in rows[1:]] == [
+        (cost, nodes) for _, _, _, cost, nodes in expected]
     assert os.path.exists(str(tmp_path / "scaling.gp"))
     out2 = str(tmp_path / "scaling2.csv")
     main(["bench-classical", "--sizes", "3,4", "--trials", "2",
