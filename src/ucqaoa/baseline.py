@@ -4,10 +4,12 @@ Exact and gap-tolerance approximate solving of the mixed-binary UC
 program.  Nodes fix a subset of units ON or OFF; the bound relaxes every
 undecided unit to a free [0, p_max] generator with no startup cost, which
 never overestimates any completion.  Branching splits a node into an ON
-and an OFF child, and both children are bounded together: their relaxed
-dispatches are the two rows of one exact dispatch solve.  Also hosts the
-random-instance generator and the runtime-scaling benchmark behind
-`bench-classical`.
+and an OFF child, and both children are bounded together as the two rows
+of one dispatch-and-cost solve, the one that prices a commitment in the
+economic dispatch and the enumeration.  A leaf's bound is therefore its
+commitment's dispatch cost exactly, and no leaf is dispatched twice.
+Also hosts the random-instance generator and the runtime-scaling
+benchmark behind `bench-classical`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dispatch import DispatchSolution, _dispatch_rows, economic_dispatch
+from .dispatch import DispatchSolution, _dispatch_costs, economic_dispatch
 from .errors import InfeasibleError, SizeGuardError, ValidationError
 from .instance import Commitment, UcInstance, UnitSpec
 
@@ -47,10 +49,11 @@ def node_lower_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
     relaxed dispatch where undecided units may generate anywhere in
     [0, p_max] for free.  Infinite when no completion can cover the load.
 
-    A fully fixed node has no relaxation left, so it delegates to the
-    economic dispatch of its commitment (same value, one dispatch solve).
-    This is the one-row call of the sibling bound `solve_approx` uses, so
-    a node is bounded identically alone and beside its sibling."""
+    A fully fixed node has no relaxation left, so its bound is the
+    economic dispatch cost of its commitment, bit for bit: both are rows
+    of the same dispatch-and-cost solve.  This is the one-row call of the
+    sibling bound `solve_approx` uses, so a node is bounded identically
+    alone and beside its sibling."""
     states = np.asarray(fixed)
     if states.size != inst.n:
         raise ValidationError(f"partial assignment has {states.size} entries, expected {inst.n}")
@@ -58,32 +61,8 @@ def node_lower_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
 
 
 def _node_bounds(inst: UcInstance, states: np.ndarray) -> np.ndarray:
-    """`node_lower_bound` of every row of a ``(k, n)`` state array.
-
-    Rows with an undecided unit share one exact dispatch solve; fully
-    fixed rows each take the economic dispatch of their commitment."""
-    a, b, c, lo, hi = inst.coeff_arrays
-    bounds = np.empty(len(states))
-    relaxed = (states == UNDECIDED).any(axis=1)
-    for k in np.flatnonzero(~relaxed):
-        sol = _leaf_solution(inst, states[k])
-        bounds[k] = sol.cost if sol.feasible else math.inf
-    if relaxed.any():
-        rows = states[relaxed]
-        on = rows == ON
-        powers, feasible = _dispatch_rows(
-            b, c, np.where(on, lo, 0.0), np.where(rows == OFF, 0.0, hi), inst.load
-        )
-        # per-row sums over the ON units alone, so the rounding matches a
-        # single node's bound exactly
-        fixed_cost = [a[mask].sum() for mask in on]
-        variable = (b * powers + c * powers * powers).sum(axis=1)
-        bounds[relaxed] = np.where(feasible, fixed_cost + variable, math.inf)
-    return bounds
-
-
-def _leaf_solution(inst: UcInstance, fixed: Sequence[int]) -> DispatchSolution:
-    return economic_dispatch(inst, tuple(int(s == ON) for s in fixed))
+    """`node_lower_bound` of every row of a ``(k, n)`` state array."""
+    return _dispatch_costs(inst, states == ON, states == OFF)[0]
 
 
 def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
@@ -97,45 +76,40 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
     start = time.perf_counter()
     hi = inst.coeff_arrays[4]
 
-    incumbent_cost = math.inf
-    incumbent: Optional[Commitment] = None
-    incumbent_dispatch: Optional[DispatchSolution] = None
-
-    all_on = (ON,) * inst.n
-    sol = _leaf_solution(inst, all_on)
-    if sol.feasible:
-        incumbent_cost = sol.cost
-        incumbent = tuple(1 for _ in range(inst.n))
-        incumbent_dispatch = sol
+    # the all-ON commitment is the first incumbent when it covers the load
+    incumbent_cost = float(_node_bounds(inst, np.full((1, inst.n), ON))[0])
+    incumbent: Optional[Commitment] = (1,) * inst.n if incumbent_cost < math.inf else None
 
     # the unit with the largest p_max is branched on first, lowest index
     # first among ties; every node at depth d has fixed order[:d] exactly
     order = sorted(range(inst.n), key=lambda i: (-hi[i], i))
     root = np.full(inst.n, UNDECIDED)
     counter = itertools.count()
-    heap = [(node_lower_bound(inst, root), next(counter), 0, root)]
+    root_bound = node_lower_bound(inst, root)
+    # (bound, tie-break, depth, states, the node's own bound); a leaf's own
+    # bound is the economic dispatch cost of its commitment
+    heap = [(root_bound, next(counter), 0, root, root_bound)]
     nodes_expanded = 0
     final_lb = math.inf
 
     while heap:
-        bound, _, depth, fixed = heapq.heappop(heap)
+        bound, _, depth, fixed, own_bound = heapq.heappop(heap)
         final_lb = bound
         if incumbent_cost <= (1.0 + gap) * bound:
             break
         nodes_expanded += 1
         if depth == inst.n:
-            sol = _leaf_solution(inst, fixed)
-            if sol.feasible and sol.cost < incumbent_cost:
-                incumbent_cost = sol.cost
+            if own_bound < incumbent_cost:
+                incumbent_cost = own_bound
                 incumbent = tuple(int(s == ON) for s in fixed)
-                incumbent_dispatch = sol
             continue
         children = np.array((fixed, fixed))
         children[:, order[depth]] = (ON, OFF)
         for child, child_bound in zip(children, _node_bounds(inst, children).tolist()):
             if incumbent_cost <= (1.0 + gap) * child_bound:
                 continue
-            heapq.heappush(heap, (max(child_bound, bound), next(counter), depth + 1, child))
+            heapq.heappush(heap, (max(child_bound, bound), next(counter), depth + 1, child,
+                                  child_bound))
     else:
         final_lb = incumbent_cost  # tree exhausted: the incumbent is optimal
 
@@ -150,7 +124,7 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
         proven_gap = max(0.0, (incumbent_cost - final_lb) / incumbent_cost)
     return SolveReport(
         commitment=incumbent,
-        dispatch=incumbent_dispatch,
+        dispatch=economic_dispatch(inst, incumbent),
         proven_gap=proven_gap,
         nodes_expanded=nodes_expanded,
         wall_time_s=time.perf_counter() - start,
@@ -195,7 +169,9 @@ def scaling_benchmark(
     approximate modes; cost and nodes_expanded are medians too.
 
     One shared instance stream per size keeps exact/approx comparisons
-    paired.  Node counts are the noise-free measure of the search work.
+    paired, and each draw is solved exactly and then approximately before
+    the next, so a drift in host speed falls on both modes alike.  Node
+    counts are the noise-free measure of the search work.
     `measure_time=False` writes 0.0 for every timing so the CSV is
     reproducible byte for byte.
     """
@@ -204,17 +180,15 @@ def scaling_benchmark(
     rng = np.random.default_rng(seed)
     rows: list[tuple[int, str, float, float, float]] = []
     for n in sizes:
-        instances = [random_instance(n, rng) for _ in range(trials)]
-        for mode in ("exact", "approx"):
-            times_ms: list[float] = []
-            costs: list[float] = []
-            nodes: list[int] = []
-            for inst in instances:
+        runs: dict[str, list[tuple[float, float, int]]] = {"exact": [], "approx": []}
+        for inst in [random_instance(n, rng) for _ in range(trials)]:
+            for mode, results in runs.items():
                 t0 = time.perf_counter()
                 report = solve_exact(inst) if mode == "exact" else solve_approx(inst, gap)
-                times_ms.append((time.perf_counter() - t0) * 1e3)
-                costs.append(report.dispatch.cost)
-                nodes.append(report.nodes_expanded)
+                results.append(((time.perf_counter() - t0) * 1e3, report.dispatch.cost,
+                                report.nodes_expanded))
+        for mode, results in runs.items():
+            times_ms, costs, nodes = zip(*results)
             median_ms = statistics.median(times_ms) if measure_time else 0.0
             rows.append((n, mode, median_ms, statistics.median(costs),
                          float(statistics.median(nodes))))

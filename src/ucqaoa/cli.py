@@ -30,8 +30,10 @@ from .errors import (
 )
 from .instance import (
     UcInstance,
+    bits_to_index,
     bits_to_string,
     builtin_ten_unit,
+    index_to_string,
     load_instance_file,
     string_to_bits,
 )
@@ -112,8 +114,6 @@ def _distribution_rows(probs: np.ndarray, n: int, k: Optional[int]):
         idx = np.arange(probs.size)
     else:
         idx = metrics.top_k(probs, k)
-    from .instance import index_to_string
-
     return [[index_to_string(int(i), n), _fmt(probs[int(i)])] for i in idx]
 
 
@@ -255,8 +255,7 @@ def _load_distribution(path: str, n: int) -> np.ndarray:
                 raise ValidationError(
                     f"{path}: bitstring {row['bitstring']!r} is not length {n}"
                 )
-            index = sum(b << i for i, b in enumerate(bits))
-            probs[index] = float(row["probability"])
+            probs[bits_to_index(bits)] = float(row["probability"])
             seen += 1
     if seen != 1 << n:
         raise ValidationError(f"{path}: has {seen} rows, expected {1 << n}")

@@ -3,8 +3,11 @@
 Solves the continuous dispatch induced by a fixed commitment exactly
 (equal marginal cost, found by locating the load on the piecewise-linear
 supply curve), exhaustively enumerates all commitments, and builds the
-near-optimal commitment set used by the convergence metrics.  A
-brute-force grid oracle validates the dispatch in tests.
+near-optimal commitment set used by the convergence metrics.  One
+dispatch-and-cost function prices rows of ON/OFF masks, so a single
+commitment, a chunk of the enumeration and a branch-and-bound node (whose
+undecided units are relaxed) share one solve and one cost expression.
+A brute-force grid oracle validates the dispatch in tests.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InfeasibleError, SizeGuardError, ValidationError
-from .instance import Commitment, UcInstance, _check_lengths, index_to_bits
+from .instance import Commitment, UcInstance, _check_lengths, bits_to_index, index_to_bits
 
 ENUMERATION_GUARD = 24
 
@@ -45,7 +48,7 @@ class NearOptimalSet:
     @cached_property
     def member_indices(self) -> np.ndarray:
         """Member basis-state indices (unit 0 = LSB), ascending."""
-        idx = sorted(sum(b << i for i, b in enumerate(bits)) for bits in self.members)
+        idx = sorted(bits_to_index(bits) for bits in self.members)
         return np.array(idx, dtype=np.int64)
 
 
@@ -128,23 +131,34 @@ def dispatch_within_boxes(
     return p[0] if feasible[0] else None
 
 
+def _dispatch_costs(
+    inst: UcInstance, on: np.ndarray, off: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(costs, feasible, powers) of every row of ``(k, n)`` ON/OFF masks.
+
+    An ON unit runs in [p_min, p_max] and pays its startup cost ``a``; an
+    OFF unit holds zero; a unit that is neither is relaxed to a free
+    [0, p_max] generator.  Rows with no such unit are commitments, so one
+    exact dispatch solve and one cost expression price a commitment, a
+    chunk of the enumeration and a branch-and-bound node alike.
+    Infeasible rows cost inf and hold zero power.
+    """
+    a, b, c, lo, hi = inst.coeff_arrays
+    p, feasible = _dispatch_rows(b, c, np.where(on, lo, 0.0), np.where(off, 0.0, hi), inst.load)
+    p[~feasible] = 0.0
+    cost = (np.where(on, a, 0.0) + b * p + c * p * p).sum(axis=1)
+    return np.where(feasible, cost, INFEASIBLE_COST), feasible, p
+
+
 def economic_dispatch(inst: UcInstance, commit: Sequence[int]) -> DispatchSolution:
     """Cheapest power assignment meeting the load with the given units ON.
 
     Infeasibility (ON units cannot cover the load) is a result, not an error.
     """
     _check_lengths(inst, commit)
-    a, b, c, lo, hi = inst.coeff_arrays
-    on = np.flatnonzero(np.asarray(commit, dtype=int))
-    powers = np.zeros(inst.n)
-    if on.size == 0:
-        return DispatchSolution(powers=powers, cost=INFEASIBLE_COST, feasible=False)
-    p_on = dispatch_within_boxes(b[on], c[on], lo[on], hi[on], inst.load)
-    if p_on is None:
-        return DispatchSolution(powers=powers, cost=INFEASIBLE_COST, feasible=False)
-    powers[on] = p_on
-    cost = float(np.sum(a[on] + b[on] * p_on + c[on] * p_on * p_on))
-    return DispatchSolution(powers=powers, cost=cost, feasible=True)
+    on = np.asarray(commit, dtype=int)[None] != 0
+    costs, feasible, powers = _dispatch_costs(inst, on, ~on)
+    return DispatchSolution(powers=powers[0], cost=float(costs[0]), feasible=bool(feasible[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +267,6 @@ def _enumerate_arrays(inst: UcInstance) -> tuple[np.ndarray, np.ndarray, np.ndar
     n = inst.n
     if n > ENUMERATION_GUARD:
         raise SizeGuardError(f"enumeration guard is N <= {ENUMERATION_GUARD}, got {n}")
-    a, b, c, lo, hi = inst.coeff_arrays
     size = 1 << n
     costs = np.empty(size)
     feasible = np.empty(size, dtype=bool)
@@ -261,12 +274,7 @@ def _enumerate_arrays(inst: UcInstance) -> tuple[np.ndarray, np.ndarray, np.ndar
     for start in range(0, size, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, size)
         on = ((np.arange(start, stop)[:, None] >> np.arange(n)) & 1).astype(bool)
-        p, ok = _dispatch_rows(b, c, np.where(on, lo, 0.0), np.where(on, hi, 0.0), inst.load)
-        p[~ok] = 0.0
-        powers[start:stop] = p
-        feasible[start:stop] = ok
-        cost = np.where(on, a + b * p + c * p * p, 0.0).sum(axis=1)
-        costs[start:stop] = np.where(ok, cost, INFEASIBLE_COST)
+        costs[start:stop], feasible[start:stop], powers[start:stop] = _dispatch_costs(inst, on, ~on)
     return costs, feasible, powers
 
 

@@ -9,8 +9,8 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from ucqaoa.baseline import OFF, ON, UNDECIDED
-from ucqaoa.dispatch import dispatch_within_boxes, economic_dispatch
+from ucqaoa.baseline import OFF, ON
+from ucqaoa.dispatch import dispatch_within_boxes
 from ucqaoa.errors import ValidationError
 from ucqaoa.instance import Commitment, UcInstance, UnitSpec, index_to_bits
 
@@ -36,19 +36,19 @@ def all_commitments(n: int) -> Iterator[Commitment]:
 def single_node_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
     """The branch-and-bound bound of one node, solved on its own.
 
-    Startup costs of the fixed-ON units plus a one-row relaxed dispatch in
-    which undecided units run anywhere in [0, p_max] for free; a fully
-    fixed node is the economic dispatch of its commitment.  Infinite when
-    nothing covers the load.
+    One dispatch on the node's boxes (ON units in [p_min, p_max], OFF
+    units at zero, undecided units anywhere in [0, p_max]), priced by the
+    single cost expression written out: startup cost of each ON unit plus
+    b*p + c*p**2 of every unit.  A fully fixed node is thereby the
+    economic dispatch of its commitment.  Infinite when nothing covers the
+    load.
     """
     a, b, c, lo, hi = inst.coeff_arrays
     states = np.asarray(fixed)
-    if not np.any(states == UNDECIDED):
-        sol = economic_dispatch(inst, tuple(int(s == ON) for s in states))
-        return sol.cost if sol.feasible else math.inf
+    on = states == ON
     powers = dispatch_within_boxes(
-        b, c, np.where(states == ON, lo, 0.0), np.where(states == OFF, 0.0, hi), inst.load
+        b, c, np.where(on, lo, 0.0), np.where(states == OFF, 0.0, hi), inst.load
     )
     if powers is None:
         return math.inf
-    return float(a[states == ON].sum()) + float(np.sum(b * powers + c * powers * powers))
+    return float((np.where(on, a, 0.0) + b * powers + c * powers * powers).sum())

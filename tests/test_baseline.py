@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import instances
 from oracles import all_commitments, single_node_bound
+from ucqaoa import baseline
 from ucqaoa.baseline import (
     BNB_GUARD,
     OFF,
@@ -42,7 +43,7 @@ def test_fully_fixed_bound_equals_dispatch():
     commit = (1, 1, 1, 0, 0, 0, 0, 0, 0, 0)
     fixed = tuple(ON if b else OFF for b in commit)
     bound = node_lower_bound(ten, fixed)
-    assert bound == pytest.approx(economic_dispatch(ten, commit).cost, rel=1e-12)
+    assert bound == economic_dispatch(ten, commit).cost
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -144,10 +145,26 @@ def test_ten_unit_exact_matches_enumeration():
     ten = builtin_ten_unit(700.0)
     report = solve_exact(ten)
     best_bits, best_sol = enumerate_all(ten)[0]
-    assert report.dispatch.cost == pytest.approx(best_sol.cost, rel=1e-6)
+    assert report.dispatch.cost == best_sol.cost
     assert report.commitment == best_bits
     assert report.proven_gap == 0.0
 
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.08])
+def test_solve_dispatches_only_the_incumbent(monkeypatch, gap):
+    # leaves are priced by their own bound; only the final incumbent is
+    # dispatched again, to build the report
+    calls = []
+    dispatch = baseline.economic_dispatch
+
+    def counting(inst, commit):
+        calls.append(tuple(commit))
+        return dispatch(inst, commit)
+
+    monkeypatch.setattr(baseline, "economic_dispatch", counting)
+    report = solve_approx(random_instance(8, rng=3), gap)
+    assert calls == [report.commitment]
 
 def test_ten_unit_node_count_frozen():
     # deterministic best-first search: a changed count means a changed search
@@ -210,7 +227,7 @@ def test_exact_matches_enumeration_randomized(seed):
     inst = random_instance(2 + seed % 7, rng=seed)
     report = solve_exact(inst)
     _, best_sol = enumerate_all(inst)[0]
-    assert report.dispatch.cost == pytest.approx(best_sol.cost, rel=1e-6)
+    assert report.dispatch.cost == best_sol.cost
 
 
 def test_infeasible_instance_reported():
@@ -273,7 +290,7 @@ def test_exact_matches_enumeration_property(inst):
         return
     report = solve_exact(inst)
     assert report.dispatch.feasible
-    assert report.dispatch.cost == pytest.approx(best.cost, rel=1e-6)
+    assert report.dispatch.cost == best.cost
 
 
 @given(instances(min_units=2, max_units=7), st.floats(0.0, 0.5))
@@ -337,6 +354,23 @@ def test_scaling_benchmark_shape_and_determinism():
     draws = [random_instance(3, rng) for _ in range(3)]
     assert by_size[(3, "exact")][1] == np.median([solve_exact(i).nodes_expanded for i in draws])
 
+
+
+def test_scaling_benchmark_interleaves_modes_per_draw(monkeypatch):
+    # each draw is solved exactly, then approximately, before the next draw,
+    # so host drift during a size lands on both modes alike
+    calls = []
+    solve = baseline.solve_approx
+
+    def recording(inst, gap):
+        calls.append((inst, gap))
+        return solve(inst, gap)
+
+    monkeypatch.setattr(baseline, "solve_approx", recording)
+    scaling_benchmark([3, 4], trials=2, gap=0.08, measure_time=False)
+    assert [gap for _, gap in calls] == [0.0, 0.08] * 4
+    assert all(calls[k][0] is calls[k + 1][0] for k in range(0, 8, 2))
+    assert len({id(inst) for inst, _ in calls}) == 4
 
 def test_scaling_benchmark_measures_time_by_default():
     rows = scaling_benchmark([4], trials=2, seed=0)

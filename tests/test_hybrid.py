@@ -19,7 +19,7 @@ from ucqaoa.hybrid import (
     run_hybrid,
 )
 from ucqaoa import hybrid, qaoa
-from ucqaoa.dispatch import near_optimal_set
+from ucqaoa.dispatch import enumerate_all, near_optimal_set
 from ucqaoa.instance import UcInstance, UnitSpec, index_to_string
 from ucqaoa.metrics import compute_snapshot
 from ucqaoa.qubo import (
@@ -339,3 +339,18 @@ def test_run_hybrid_rejects_zero_default_weights():
     hist = run_hybrid(inst, HybridConfig(max_iterations=1,
                                          weights=PenaltyWeights(1.0, 1.0, 1.0)))
     assert len(hist.records) == 2
+
+
+@given(instances(max_units=5, degenerate=True))
+@settings(max_examples=25, deadline=None)
+def test_run_hybrid_on_degenerate_draws(inst):
+    # step units, fixed-output units, a = 0 units and loads at capacity
+    weights = None if max(u.a for u in inst.units) > 0 else PenaltyWeights(1.0, 1.0, 1.0)
+    cfg = HybridConfig(depth=1, max_iterations=20, metric_cadence=5, weights=weights)
+    if not enumerate_all(inst)[0][1].feasible:
+        with pytest.raises(InfeasibleError):
+            run_hybrid(inst, cfg)
+        return
+    hist = run_hybrid(inst, cfg)
+    assert all(math.isfinite(r.objective) for r in hist.records)
+    assert abs(hist.final_distribution.sum() - 1.0) <= 1e-12
