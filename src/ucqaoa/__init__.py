@@ -17,7 +17,6 @@ from .baseline import (
 from .dispatch import (
     DispatchSolution,
     NearOptimalSet,
-    dispatch_grid_oracle,
     economic_dispatch,
     enumerate_all,
     near_optimal_set,
@@ -62,14 +61,10 @@ from .neldermead import NmResult, nelder_mead
 from .qaoa import VariationalParams, qaoa_distribution, sample, uniform_state
 from .qubo import (
     ContinuousAssignment,
-    IsingModel,
     PenaltyWeights,
     Qubo,
     build_qubo,
-    optimal_slacks,
-    penalized_objective,
     qubo_diagonal,
-    qubo_to_ising,
 )
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import logging
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -122,7 +123,8 @@ def cmd_simulate(args) -> int:
     w = _weights(args, inst)
     gamma = _float_list(args.gamma)
     beta = _float_list(args.beta)
-    cfg = hybrid.HybridConfig(depth=max(1, len(gamma)), seed=args.seed)
+    # HybridConfig validates the shot count as run-hybrid does
+    cfg = hybrid.HybridConfig(depth=max(1, len(gamma)), seed=args.seed, shots=args.shots)
     theta0 = hybrid.initial_theta(inst, cfg)
     p = np.array(_float_list(args.p)) if args.p else theta0.p
     s1 = np.array(_float_list(args.s1)) if args.s1 else theta0.s1
@@ -243,11 +245,13 @@ def cmd_bench_classical(args) -> int:
 
 
 def _load_distribution(path: str, n: int) -> np.ndarray:
+    """The full distribution written by ``simulate --out``: one row per
+    bitstring, each probability finite and >= 0, summing to 1 within 1e-9."""
     probs = np.zeros(1 << n)
-    seen = 0
+    seen = np.zeros(1 << n, dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "bitstring" not in reader.fieldnames:
+        if reader.fieldnames is None or not {"bitstring", "probability"} <= set(reader.fieldnames):
             raise ValidationError(f"{path}: expected a bitstring,probability CSV header")
         for row in reader:
             bits = string_to_bits(row["bitstring"])
@@ -255,10 +259,25 @@ def _load_distribution(path: str, n: int) -> np.ndarray:
                 raise ValidationError(
                     f"{path}: bitstring {row['bitstring']!r} is not length {n}"
                 )
-            probs[bits_to_index(bits)] = float(row["probability"])
-            seen += 1
-    if seen != 1 << n:
-        raise ValidationError(f"{path}: has {seen} rows, expected {1 << n}")
+            k = bits_to_index(bits)
+            if seen[k]:
+                raise ValidationError(f"{path}: bitstring {row['bitstring']!r} repeats")
+            try:
+                value = float(row["probability"])
+            except (TypeError, ValueError):
+                value = math.nan
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValidationError(
+                    f"{path}: probability {row['probability']!r} of {row['bitstring']!r} "
+                    "is not a finite number >= 0"
+                )
+            probs[k] = value
+            seen[k] = True
+    if not seen.all():
+        raise ValidationError(f"{path}: has {int(seen.sum())} rows, expected {1 << n}")
+    total = float(probs.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValidationError(f"{path}: probabilities sum to {total!r}, not 1")
     return probs
 
 

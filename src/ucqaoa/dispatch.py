@@ -7,20 +7,18 @@ near-optimal commitment set used by the convergence metrics.  One
 dispatch-and-cost function prices rows of ON/OFF masks, so a single
 commitment, a chunk of the enumeration and a branch-and-bound node (whose
 undecided units are relaxed) share one solve and one cost expression.
-A brute-force grid oracle validates the dispatch in tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InfeasibleError, SizeGuardError, ValidationError
-from .instance import Commitment, UcInstance, _check_lengths, bits_to_index, index_to_bits
+from .instance import Commitment, UcInstance, _check_lengths, index_to_bits
 
 ENUMERATION_GUARD = 24
 
@@ -38,18 +36,15 @@ class DispatchSolution:
 
 @dataclass(frozen=True, eq=False)
 class NearOptimalSet:
-    """Feasible commitments whose dispatch cost is within the cutoff."""
+    """Feasible commitments whose dispatch cost is within the cutoff.
 
-    members: frozenset[Commitment]
+    ``members`` holds their basis-state indices (unit 0 = LSB), ascending.
+    """
+
+    members: np.ndarray
     optimal_cost: float
     cutoff: float
     n: int
-
-    @cached_property
-    def member_indices(self) -> np.ndarray:
-        """Member basis-state indices (unit 0 = LSB), ascending."""
-        idx = sorted(bits_to_index(bits) for bits in self.members)
-        return np.array(idx, dtype=np.int64)
 
 
 def _dispatch_rows(
@@ -115,22 +110,6 @@ def _dispatch_rows(
     return p, feasible
 
 
-def dispatch_within_boxes(
-    b: np.ndarray,
-    c: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    load: float,
-) -> Optional[np.ndarray]:
-    """Minimize sum(b*p + c*p**2) s.t. sum(p) = load, lo <= p <= hi.
-
-    A one-row call of the exact breakpoint solve; tied c == 0 units fill
-    lowest-index-first.  Returns None when the boxes cannot cover the load.
-    """
-    p, feasible = _dispatch_rows(b[None], c[None], lo[None], hi[None], load)
-    return p[0] if feasible[0] else None
-
-
 def _dispatch_costs(
     inst: UcInstance, on: np.ndarray, off: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,98 +138,6 @@ def economic_dispatch(inst: UcInstance, commit: Sequence[int]) -> DispatchSoluti
     on = np.asarray(commit, dtype=int)[None] != 0
     costs, feasible, powers = _dispatch_costs(inst, on, ~on)
     return DispatchSolution(powers=powers[0], cost=float(costs[0]), feasible=bool(feasible[0]))
-
-
-# ---------------------------------------------------------------------------
-# exhaustive grid oracle (tests only; independent of the breakpoint solve)
-
-_GRID_EPS = 1e-9
-
-
-def _grid(lo: float, hi: float, resolution: float) -> np.ndarray:
-    m = int(math.floor((hi - lo) / resolution + 1e-9))
-    pts = lo + resolution * np.arange(m + 1)
-    if pts[-1] < hi - _GRID_EPS:
-        pts = np.append(pts, hi)
-    return pts
-
-
-def dispatch_grid_oracle(
-    inst: UcInstance, commit: Sequence[int], resolution: float = 0.01
-) -> DispatchSolution:
-    """Exhaustive grid search over ON-unit powers summing to the load.
-
-    Supports at most 3 ON units (the grid is exponential).  The last ON
-    unit's power is eliminated by the load equality; boundary candidates
-    where that unit's box binds are added so narrow feasible slivers are
-    not missed.
-    """
-    _check_lengths(inst, commit)
-    a, b, c, lo, hi = inst.coeff_arrays
-    on = list(np.flatnonzero(np.asarray(commit, dtype=int)))
-    if len(on) > 3:
-        raise SizeGuardError(f"grid oracle supports at most 3 ON units, got {len(on)}")
-    L = inst.load
-    powers = np.zeros(inst.n)
-
-    def result(p_on: Optional[np.ndarray]) -> DispatchSolution:
-        if p_on is None:
-            return DispatchSolution(powers=np.zeros(inst.n), cost=INFEASIBLE_COST, feasible=False)
-        powers[on] = p_on
-        cost = float(np.sum(a[on] + b[on] * p_on + c[on] * p_on * p_on))
-        return DispatchSolution(powers=powers, cost=cost, feasible=True)
-
-    if len(on) == 0:
-        return result(None)
-
-    if len(on) == 1:
-        i = on[0]
-        if lo[i] - _GRID_EPS <= L <= hi[i] + _GRID_EPS:
-            return result(np.array([L]))
-        return result(None)
-
-    def last_axis_candidates(remaining: float, i: int, j: int) -> np.ndarray:
-        """Grid over unit i plus the points where unit j's box would bind."""
-        pts = _grid(lo[i], hi[i], resolution)
-        extra = [remaining - hi[j], remaining - lo[j]]
-        extra = [x for x in extra if lo[i] - _GRID_EPS <= x <= hi[i] + _GRID_EPS]
-        if extra:
-            pts = np.concatenate([pts, np.array(extra)])
-        return pts
-
-    if len(on) == 2:
-        i, j = on
-        p_i = last_axis_candidates(L, i, j)
-        p_j = L - p_i
-        ok = (p_j >= lo[j] - _GRID_EPS) & (p_j <= hi[j] + _GRID_EPS)
-        if not ok.any():
-            return result(None)
-        p_i, p_j = p_i[ok], p_j[ok]
-        costs = b[i] * p_i + c[i] * p_i**2 + b[j] * p_j + c[j] * p_j**2
-        k = int(np.argmin(costs))
-        return result(np.array([p_i[k], p_j[k]]))
-
-    i, j, m = on
-    best_cost = math.inf
-    best = None
-    for p_i in _grid(lo[i], hi[i], resolution):
-        rem = L - p_i
-        p_j = last_axis_candidates(rem, j, m)
-        p_m = rem - p_j
-        ok = (p_m >= lo[m] - _GRID_EPS) & (p_m <= hi[m] + _GRID_EPS)
-        if not ok.any():
-            continue
-        p_j, p_m = p_j[ok], p_m[ok]
-        costs = (
-            b[i] * p_i + c[i] * p_i**2
-            + b[j] * p_j + c[j] * p_j**2
-            + b[m] * p_m + c[m] * p_m**2
-        )
-        k = int(np.argmin(costs))
-        if costs[k] < best_cost:
-            best_cost = float(costs[k])
-            best = np.array([p_i, p_j[k], p_m[k]])
-    return result(best)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +192,5 @@ def near_optimal_set(inst: UcInstance, fraction: float = 0.05) -> NearOptimalSet
         raise InfeasibleError(f"instance {inst.name!r} has no feasible commitment")
     optimal = float(costs.min())
     cutoff = (1.0 + fraction) * optimal
-    members = frozenset(
-        index_to_bits(k, inst.n) for k in np.flatnonzero(feasible & (costs <= cutoff)).tolist()
-    )
+    members = np.flatnonzero(feasible & (costs <= cutoff))
     return NearOptimalSet(members=members, optimal_cost=optimal, cutoff=cutoff, n=inst.n)

@@ -87,8 +87,6 @@ class HybridConfig:
     depth: int = 1
     weights: Optional[PenaltyWeights] = None  # None -> PenaltyWeights.default_for
     max_iterations: int = 1500
-    tol_x: float = 0.0  # 0.0 disables: fixed-budget runs give comparable histories
-    tol_f: float = 0.0
     seed: int = 0
     shots: int = 0  # 0 = exact expectation
     metric_cadence: int = 10
@@ -243,27 +241,23 @@ def run_hybrid(
         if iteration % cfg.metric_cadence == 0:
             record(iteration, fval)
 
+    # tolerances 0.0 disable the early stops: fixed-budget runs give
+    # comparable histories
     result = nelder_mead(
         fun,
         x0,
         max_iter=cfg.max_iterations,
-        tol_x=cfg.tol_x,
-        tol_f=cfg.tol_f,
+        tol_x=0.0,
+        tol_f=0.0,
         callback=callback,
     )
     if records[-1].iter != result.iterations:
         record(result.iterations, result.fun)
 
-    final = ThetaVector.unpack(result.x, cfg.depth, inst.n)
-    final = ThetaVector(
-        gamma=final.gamma,
-        beta=final.beta,
-        p=np.abs(final.p),
-        s1=np.abs(final.s1),
-        s2=np.abs(final.s2),
-    )
+    x = result.x
+    x[2 * cfg.depth :] = np.abs(x[2 * cfg.depth :])
     return RunHistory(
         records=tuple(records),
-        final_theta=final,
+        final_theta=ThetaVector.unpack(x, cfg.depth, inst.n),
         final_distribution=best_probs,
     )

@@ -159,7 +159,7 @@ def index_to_string(k: int, n: int) -> str:
 def _check_lengths(inst: UcInstance, *vectors: Sequence) -> None:
     for v in vectors:
         if len(v) != inst.n:
-            raise ValueError(f"expected length {inst.n}, got {len(v)}")
+            raise ValidationError(f"expected length {inst.n}, got {len(v)}")
 
 
 def total_cost(inst: UcInstance, commit: Sequence[int], powers: Sequence[float]) -> float:

@@ -32,7 +32,7 @@ def _check_dim(probs: np.ndarray, nos: NearOptimalSet) -> np.ndarray:
 def near_opt_probability(probs: np.ndarray, nos: NearOptimalSet) -> float:
     """Total probability mass on the near-optimal commitments."""
     probs = _check_dim(probs, nos)
-    return float(probs[nos.member_indices].sum())
+    return float(probs[nos.members].sum())
 
 
 def top_k(probs: np.ndarray, k: int) -> np.ndarray:
@@ -48,7 +48,7 @@ def top_k(probs: np.ndarray, k: int) -> np.ndarray:
 def avg_hamming_top_k(probs: np.ndarray, nos: NearOptimalSet, k: int = 50) -> float:
     """Mean over the top-k bitstrings of the distance to the closest member."""
     probs = _check_dim(probs, nos)
-    members = nos.member_indices
+    members = nos.members
     if members.size == 0:
         raise ValidationError("near-optimal set is empty")
     ranked = top_k(probs, k)
@@ -76,23 +76,10 @@ def compute_snapshot(probs: np.ndarray, nos: NearOptimalSet, k: int = 50) -> Met
     )
 
 
-def _records_of(history) -> tuple:
-    records = getattr(history, "records", history)
-    return tuple(records)
-
-
-def _record_row(rec) -> dict:
-    if hasattr(rec, "__dataclass_fields__"):
-        rec = asdict(rec)
-    missing = [f for f in HISTORY_FIELDS if f not in rec]
-    if missing:
-        raise ValidationError(f"history record missing fields: {missing}")
-    return {f: rec[f] for f in HISTORY_FIELDS}
-
-
 def export_history(history, format: str, path: str) -> None:
-    """Write the run history as CSV or JSON; values round-trip exactly."""
-    rows = [_record_row(r) for r in _records_of(history)]
+    """Write a RunHistory, or a sequence of HistoryRecord, as CSV or JSON;
+    values round-trip exactly."""
+    rows = [asdict(r) for r in getattr(history, "records", history)]
     if format == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

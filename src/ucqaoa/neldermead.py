@@ -18,10 +18,6 @@ from .errors import NonFiniteObjectiveError, ValidationError
 Callback = Callable[[int, np.ndarray, float], None]
 
 
-class _BudgetExhausted(Exception):
-    """Internal: raised by evaluate() when max_fevals would be exceeded."""
-
-
 @dataclass(frozen=True, eq=False)
 class NmResult:
     x: np.ndarray
@@ -45,16 +41,17 @@ def nelder_mead(
     x0: Sequence[float],
     *,
     max_iter: int = 1000,
-    max_fevals: Optional[int] = None,
     tol_x: float = 1e-8,
     tol_f: float = 1e-12,
     step_scale: float = 0.05,
     callback: Optional[Callback] = None,
 ) -> NmResult:
     """Minimize f from x0.  Terminates when the simplex diameter drops
-    below tol_x, the objective spread drops below tol_f, or the
-    iteration/evaluation budget runs out (whichever first).  Tolerances
-    of 0.0 disable the corresponding test (strict <).
+    below tol_x, the objective spread drops below tol_f, or max_iter
+    iterations have run (whichever first).  Tolerances of 0.0 disable the
+    corresponding test (strict <).  An iteration evaluates f at most
+    d + 2 times, so a run makes at most (d + 1) + (d + 2) * max_iter
+    evaluations.
 
     The spread test must hold on two consecutive iterations before it
     fires (a single hit can be an accident of vertices landing
@@ -70,19 +67,10 @@ def nelder_mead(
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     d = x0.size
-    if max_fevals is None:
-        max_fevals = 200 * d * max_iter  # effectively the iteration budget rules
-    if max_fevals < d + 1:
-        raise ValidationError(
-            f"max_fevals must cover the initial simplex: need >= {d + 1}"
-        )
-
     fevals = 0
 
     def evaluate(x: np.ndarray) -> float:
         nonlocal fevals
-        if fevals >= max_fevals:
-            raise _BudgetExhausted
         fevals += 1
         value = float(f(x))
         if not np.isfinite(value):
@@ -107,7 +95,7 @@ def nelder_mead(
         if callback is not None:
             callback(iteration, simplex[0].copy(), float(values[0]))
 
-        diameter = float(np.max(np.abs(simplex[1:] - simplex[0]))) if d > 0 else 0.0
+        diameter = float(np.max(np.abs(simplex[1:] - simplex[0])))
         spread = float(values[-1] - values[0])
         spread_streak = spread_streak + 1 if spread < tol_f else 0
         if diameter < tol_x:
@@ -118,44 +106,35 @@ def nelder_mead(
             break
         if iteration >= max_iter:
             break
-        if fevals >= max_fevals:
-            message = "evaluation budget exhausted"
-            break
 
-        try:
-            centroid = simplex[:-1].mean(axis=0)
-            worst = simplex[-1]
-            reflected = centroid + (centroid - worst)
-            f_reflected = evaluate(reflected)
+        centroid = simplex[:-1].mean(axis=0)
+        worst = simplex[-1]
+        reflected = centroid + (centroid - worst)
+        f_reflected = evaluate(reflected)
 
-            if f_reflected < values[0]:
-                expanded = centroid + 2.0 * (centroid - worst)
-                f_expanded = evaluate(expanded)
-                if f_expanded < f_reflected:
-                    simplex[-1], values[-1] = expanded, f_expanded
-                else:
-                    simplex[-1], values[-1] = reflected, f_reflected
-            elif f_reflected < values[-2]:
-                simplex[-1], values[-1] = reflected, f_reflected
+        if f_reflected < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            f_expanded = evaluate(expanded)
+            if f_expanded < f_reflected:
+                simplex[-1], values[-1] = expanded, f_expanded
             else:
-                if f_reflected < values[-1]:
-                    contracted = centroid + 0.5 * (reflected - centroid)
-                else:
-                    contracted = centroid - 0.5 * (centroid - worst)
-                f_contracted = evaluate(contracted)
-                if f_contracted < min(f_reflected, values[-1]):
-                    simplex[-1], values[-1] = contracted, f_contracted
-                else:
-                    # shrink toward the best vertex
-                    for k in range(1, d + 1):
-                        candidate = simplex[0] + 0.5 * (simplex[k] - simplex[0])
-                        values[k] = evaluate(candidate)
-                        simplex[k] = candidate
-        except _BudgetExhausted:
-            # vertex/value pairs are only mutated after a successful
-            # evaluation, so the simplex is still consistent here
-            message = "evaluation budget exhausted"
-            break
+                simplex[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
+        else:
+            if f_reflected < values[-1]:
+                contracted = centroid + 0.5 * (reflected - centroid)
+            else:
+                contracted = centroid - 0.5 * (centroid - worst)
+            f_contracted = evaluate(contracted)
+            if f_contracted < min(f_reflected, values[-1]):
+                simplex[-1], values[-1] = contracted, f_contracted
+            else:
+                # shrink toward the best vertex
+                for k in range(1, d + 1):
+                    candidate = simplex[0] + 0.5 * (simplex[k] - simplex[0])
+                    values[k] = evaluate(candidate)
+                    simplex[k] = candidate
         iteration += 1
 
     best = int(np.argmin(values))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .qubo import IsingModel
 
 QUBIT_GUARD = 20  # 2**20 complex doubles = 16 MB
 
@@ -116,36 +115,3 @@ def sample(probs: np.ndarray, shots: int, seed=None) -> np.ndarray:
     rng = np.random.default_rng(seed)
     p = np.asarray(probs, dtype=float)
     return rng.multinomial(shots, p / p.sum())
-
-
-def gate_decomposed_phase(sv: np.ndarray, ising: IsingModel, gamma: float) -> np.ndarray:
-    """Cost phase applied gate by gate from the Ising form.
-
-    One global offset phase, a Z phase per nonzero field, and a ZZ phase
-    per coupling; since every factor is diagonal they commute, so this
-    must match apply_cost_phase on the corresponding QUBO table exactly
-    (not just up to global phase, because the offset is applied too).
-    """
-    n = _qubit_count(len(sv))
-    if ising.n != n:
-        raise ValueError(f"state has {n} qubits, model has {ising.n}")
-    out = sv * np.exp(-1j * gamma * ising.offset)
-    for i in range(n):
-        h = ising.h[i]
-        if h == 0.0:
-            continue
-        view = out.reshape(-1, 2, 1 << i)
-        view[:, 0, :] *= np.exp(1j * gamma * h)   # z_i = -1
-        view[:, 1, :] *= np.exp(-1j * gamma * h)  # z_i = +1
-    for (i, j), coupling in ising.j.items():
-        if coupling == 0.0:
-            continue
-        lo, hi = (i, j) if i < j else (j, i)
-        view = out.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-        same = np.exp(-1j * gamma * coupling)     # z_i * z_j = +1
-        diff = np.exp(1j * gamma * coupling)
-        view[:, 0, :, 0, :] *= same
-        view[:, 1, :, 1, :] *= same
-        view[:, 0, :, 1, :] *= diff
-        view[:, 1, :, 0, :] *= diff
-    return out

@@ -1,8 +1,9 @@
-"""Penalized unconstrained objective and its QUBO/Ising reductions.
+"""Penalized unconstrained objective reduced to a QUBO and its cost table.
 
 The constrained problem is rewritten with three squared penalty families:
 load balance, lower generation limit (slack s1), upper generation limit
-(slack s2).  For a fixed continuous assignment (p, s1, s2) the objective
+(slack s2); the b/c cost terms apply regardless of y, unlike the physical
+total_cost.  For a fixed continuous assignment (p, s1, s2) the objective
 is quadratic in the binary ON/OFF variables (using y**2 == y), which
 gives the QUBO whose diagonal cost table drives the QAOA circuit.
 
@@ -78,41 +79,6 @@ class ContinuousAssignment:
             raise ValidationError("p, s1, s2 must have equal lengths")
 
 
-def optimal_slacks(inst: UcInstance, p: Sequence[float], commit: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Penalty-minimizing slacks for given powers and commitment:
-    s1 = max(0, p - p_min*y), s2 = max(0, p_max*y - p)."""
-    _, _, _, lo, hi = inst.coeff_arrays
-    p = np.asarray(p, dtype=float)
-    y = np.asarray(commit, dtype=float)
-    return np.maximum(0.0, p - lo * y), np.maximum(0.0, hi * y - p)
-
-
-def penalized_objective(
-    inst: UcInstance,
-    w: PenaltyWeights,
-    commit: Sequence[int],
-    ca: ContinuousAssignment,
-) -> float:
-    """Literal evaluation of the penalized objective.
-
-    sum(a*y + b*p + c*p**2)
-      + lambda1 * (sum(p*y) - L)**2
-      + lambda2 * sum((p - s1 - p_min*y)**2)
-      + lambda3 * sum((p + s2 - p_max*y)**2)
-
-    Note b/c terms apply regardless of y, unlike the physical total_cost.
-    """
-    _check_lengths(inst, commit, ca.p)
-    a, b, c, lo, hi = inst.coeff_arrays
-    y = np.asarray(commit, dtype=float)
-    p, s1, s2 = ca.p, ca.s1, ca.s2
-    value = float(np.sum(a * y + b * p + c * p * p))
-    value += w.lambda1 * float(np.sum(p * y) - inst.load) ** 2
-    value += w.lambda2 * float(np.sum((p - s1 - lo * y) ** 2))
-    value += w.lambda3 * float(np.sum((p + s2 - hi * y) ** 2))
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class Qubo:
     """constant + linear @ y + y @ quadratic @ y over binary y.
@@ -132,28 +98,11 @@ class Qubo:
         return self.constant + float(self.linear @ y) + float(y @ self.quadratic @ y)
 
 
-@dataclass(frozen=True, eq=False)
-class IsingModel:
-    """offset + sum(h[i]*z[i]) + sum(j[(i,j)]*z[i]*z[j]) over z in {-1,+1}."""
-
-    n: int
-    offset: float
-    h: np.ndarray
-    j: dict[tuple[int, int], float]
-
-    def value(self, z: Sequence[int]) -> float:
-        zv = np.asarray(z, dtype=float)
-        v = self.offset + float(np.dot(self.h, zv))
-        for (i, jj), coeff in self.j.items():
-            v += coeff * zv[i] * zv[jj]
-        return v
-
-
 def build_qubo(inst: UcInstance, w: PenaltyWeights, ca: ContinuousAssignment) -> Qubo:
     """Reduce the penalized objective at fixed (p, s1, s2) to a QUBO over y.
 
-    Assembled by explicit expansion of each squared term (exact, testable
-    against penalized_objective at every bitstring); the only pairwise
+    Assembled by explicit expansion of each squared term, so it equals the
+    penalized objective exactly at every bitstring; the only pairwise
     coupling is 2*lambda1*p[i]*p[j] from the load penalty.
     """
     _check_lengths(inst, ca.p)
@@ -181,17 +130,7 @@ def build_qubo(inst: UcInstance, w: PenaltyWeights, ca: ContinuousAssignment) ->
     return Qubo(n=inst.n, constant=constant, linear=linear, quadratic=quadratic)
 
 
-def qubo_to_ising(q: Qubo) -> IsingModel:
-    """Substitute y = (z + 1)/2; values agree exactly at corresponding points."""
-    quarter = 0.25 * q.quadratic  # y[i]*y[j] = (z[i]*z[j] + z[i] + z[j] + 1) / 4
-    offset = q.constant + 0.5 * float(q.linear.sum()) + float(quarter.sum())
-    h = 0.5 * q.linear + quarter.sum(axis=1) + quarter.sum(axis=0)
-    rows, cols = np.nonzero(quarter)  # row-major, i < j
-    j = dict(zip(zip(rows.tolist(), cols.tolist()), quarter[rows, cols].tolist()))
-    return IsingModel(n=q.n, offset=offset, h=h, j=j)
-
-
-def qubo_diagonal(q: Qubo, guard: int = DIAGONAL_GUARD) -> np.ndarray:
+def qubo_diagonal(q: Qubo) -> np.ndarray:
     """Cost table over all 2**n bitstrings; entry k is the QUBO value of the
     commitment whose unit-i bit is bit i of k (unit 0 = LSB).
 
@@ -200,8 +139,8 @@ def qubo_diagonal(q: Qubo, guard: int = DIAGONAL_GUARD) -> np.ndarray:
     whose subset sums are themselves doubled bit by bit in place.  About
     3 * 2**n adds into the one output array.
     """
-    if q.n > guard:
-        raise SizeGuardError(f"diagonal guard is n <= {guard}, got {q.n}")
+    if q.n > DIAGONAL_GUARD:
+        raise SizeGuardError(f"diagonal guard is n <= {DIAGONAL_GUARD}, got {q.n}")
     diag = np.empty(1 << q.n)
     diag[0] = q.constant
     for m in range(q.n):

@@ -14,7 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import all_commitments
+from oracles import (
+    all_commitments,
+    dispatch_grid_oracle,
+    gate_decomposed_phase,
+    penalized_objective,
+    qubo_to_ising,
+)
 from ucqaoa.baseline import (
     random_instance,
     scaling_benchmark,
@@ -23,7 +29,6 @@ from ucqaoa.baseline import (
 )
 from ucqaoa.cli import main as cli_main
 from ucqaoa.dispatch import (
-    dispatch_grid_oracle,
     economic_dispatch,
     enumerate_all,
     near_optimal_set,
@@ -39,7 +44,6 @@ from ucqaoa.instance import (
 from ucqaoa.qaoa import (
     VariationalParams,
     apply_cost_phase,
-    gate_decomposed_phase,
     qaoa_distribution,
     uniform_state,
 )
@@ -47,9 +51,7 @@ from ucqaoa.qubo import (
     ContinuousAssignment,
     PenaltyWeights,
     build_qubo,
-    penalized_objective,
     qubo_diagonal,
-    qubo_to_ising,
 )
 
 

@@ -9,8 +9,8 @@ import pytest
 
 from ucqaoa.baseline import random_instance, scaling_benchmark
 from ucqaoa.cli import main
-from ucqaoa.dispatch import enumerate_all
-from ucqaoa.instance import UcInstance, builtin_ten_unit, serialize_instance
+from ucqaoa.dispatch import enumerate_all, near_optimal_set
+from ucqaoa.instance import UcInstance, builtin_ten_unit, index_to_string, serialize_instance
 
 
 @pytest.fixture
@@ -109,6 +109,19 @@ def test_simulate_explicit_continuous_part(small_instance_path, capsys):
                "--p", p, "--s1", zeros, "--s2", zeros, "--top", "1"])
     assert rc == 0
     assert capsys.readouterr().out.startswith("bitstring,probability")
+
+
+def test_simulate_rejects_wrong_length_continuous_part(capsys):
+    rc = main(["simulate", "--gamma", "0.2", "--beta", "0.1",
+               "--p", "1,2", "--s1", "0,0", "--s2", "0,0"])
+    assert rc == 2
+    assert "expected length 10" in capsys.readouterr().err
+
+
+def test_simulate_rejects_negative_shots(capsys):
+    rc = main(["simulate", "--gamma", "0.2", "--beta", "0.1", "--shots", "-5"])
+    assert rc == 2
+    assert "shots" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +275,73 @@ def test_metrics_rejects_malformed_distribution(small_instance_path, tmp_path, c
     assert main(["metrics", "--instance", small_instance_path,
                  "--distribution", str(short)]) == 2
     capsys.readouterr()
+
+
+def _uniform_rows(n):
+    return [[index_to_string(k, n), repr(1.0 / (1 << n))] for k in range(1 << n)]
+
+
+def _corrupt_duplicate(rows, spare):
+    rows[spare[0]][0] = rows[spare[1]][0]  # one bitstring twice, another missing
+
+
+def _corrupt_sum(rows, spare):
+    for row in rows:
+        row[1] = repr(0.4 / len(rows))
+
+
+def _corrupt_nan(rows, spare):
+    rows[spare[0]][1] = "nan"
+
+
+def _corrupt_negative(rows, spare):
+    rows[spare[0]][1] = repr(-1.0 / len(rows))
+    rows[spare[1]][1] = repr(3.0 / len(rows))  # the sum stays 1
+
+
+def _corrupt_non_numeric(rows, spare):
+    rows[spare[0]][1] = "abc"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_duplicate, _corrupt_sum, _corrupt_nan, _corrupt_negative, _corrupt_non_numeric,
+], ids=["duplicate", "sum", "nan", "negative", "non-numeric"])
+def test_metrics_rejects_invalid_distribution(small_instance_path, tmp_path, capsys, corrupt):
+    # spoil rows outside the near-optimal set, where the metrics alone would not notice
+    members = near_optimal_set(random_instance(4, rng=3), 0.05).members
+    spare = [k for k in range(16) if k not in members]
+    rows = _uniform_rows(4)
+    corrupt(rows, spare)
+    path = tmp_path / "dist.csv"
+    path.write_text("bitstring,probability\n" + "".join(f"{b},{p}\n" for b, p in rows))
+    rc = main(["metrics", "--instance", small_instance_path, "--distribution", str(path)])
+    assert rc == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_metrics_rejects_missing_probability_column(small_instance_path, tmp_path, capsys):
+    path = tmp_path / "dist.csv"
+    path.write_text("bitstring,prob\n" + "".join(f"{b},{p}\n" for b, p in _uniform_rows(4)))
+    rc = main(["metrics", "--instance", small_instance_path, "--distribution", str(path)])
+    assert rc == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("simulate_args,expected", [
+    (["--gamma", "0.3,0.5", "--beta", "0.2,0.4"],
+     "near_opt_prob,0.005477085477945645\navg_hamming_top50,3.32\n"),
+    (["--gamma", "0.3", "--beta", "0.2", "--shots", "1000"],
+     "near_opt_prob,0.002\navg_hamming_top50,3.42\n"),
+])
+def test_simulate_output_passes_metrics(tmp_path, capsys, simulate_args, expected):
+    dist = str(tmp_path / "dist.csv")
+    assert main(["simulate", *simulate_args, "--out", dist]) == 0
+    capsys.readouterr()
+    assert main(["metrics", "--distribution", dist]) == 0
+    assert capsys.readouterr().out.replace("\r\n", "\n") == (
+        "metric,value\n" + expected
+        + "members,8\noptimal_cost,13683.12975\ncutoff,14367.2862375\n"
+    )
 
 
 # ---------------------------------------------------------------------------

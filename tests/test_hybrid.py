@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instances
-from oracles import all_commitments
+from oracles import all_commitments, penalized_objective
 from ucqaoa.baseline import random_instance
 from ucqaoa.errors import InfeasibleError, SizeGuardError, ValidationError
 from ucqaoa.hybrid import (
@@ -26,7 +26,6 @@ from ucqaoa.qubo import (
     ContinuousAssignment,
     PenaltyWeights,
     build_qubo,
-    penalized_objective,
     qubo_diagonal,
 )
 

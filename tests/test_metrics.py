@@ -7,6 +7,7 @@ from oracles import hamming
 from ucqaoa.dispatch import NearOptimalSet, near_optimal_set
 from ucqaoa.errors import ValidationError
 from ucqaoa.hybrid import HistoryRecord, HybridConfig, run_hybrid
+from ucqaoa.instance import bits_to_index
 from ucqaoa.baseline import random_instance
 from ucqaoa.metrics import (
     avg_hamming_top_k,
@@ -19,8 +20,8 @@ from ucqaoa.metrics import (
 
 
 def _nos(n, members, optimal=100.0, cutoff=105.0):
-    return NearOptimalSet(members=frozenset(members), optimal_cost=optimal,
-                          cutoff=cutoff, n=n)
+    idx = np.array(sorted(bits_to_index(bits) for bits in members), dtype=np.int64)
+    return NearOptimalSet(members=idx, optimal_cost=optimal, cutoff=cutoff, n=n)
 
 
 # ---------------------------------------------------------------------------

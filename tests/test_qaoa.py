@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gate_decomposed_phase, qubo_to_ising
 from ucqaoa.errors import SizeGuardError, ValidationError
 from ucqaoa.qaoa import (
     VariationalParams,
     apply_cost_phase,
     apply_mixer,
     expectation,
-    gate_decomposed_phase,
     qaoa_distribution,
     sample,
     uniform_state,
 )
-from ucqaoa.qubo import Qubo, qubo_diagonal, qubo_to_ising
+from ucqaoa.qubo import Qubo, qubo_diagonal
 
 angles = st.floats(-2.0 * math.pi, 2.0 * math.pi)
 
@@ -261,7 +261,7 @@ def test_sample_rejects_zero_shots():
 
 
 def test_gate_decomposition_zero_model_is_identity():
-    from ucqaoa.qubo import IsingModel
+    from oracles import IsingModel
 
     ising = IsingModel(n=2, offset=0.0, h=np.zeros(2), j={})
     sv = uniform_state(2)
@@ -269,7 +269,7 @@ def test_gate_decomposition_zero_model_is_identity():
 
 
 def test_gate_decomposition_single_coupling_parity():
-    from ucqaoa.qubo import IsingModel
+    from oracles import IsingModel
 
     ising = IsingModel(n=2, offset=0.0, h=np.zeros(2), j={(0, 1): 0.5})
     out = gate_decomposed_phase(uniform_state(2), ising, math.pi)
@@ -297,7 +297,7 @@ def test_gate_decomposition_matches_direct_phase(n):
 
 
 def test_gate_decomposition_size_mismatch():
-    from ucqaoa.qubo import IsingModel
+    from oracles import IsingModel
 
     ising = IsingModel(n=3, offset=0.0, h=np.zeros(3), j={})
     with pytest.raises(ValueError):

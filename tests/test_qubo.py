@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instances
-from oracles import all_commitments
+from oracles import all_commitments, optimal_slacks, penalized_objective, qubo_to_ising
 from ucqaoa.errors import SizeGuardError, ValidationError
 from ucqaoa.baseline import random_instance
 from ucqaoa.instance import (
@@ -20,10 +20,7 @@ from ucqaoa.qubo import (
     PenaltyWeights,
     Qubo,
     build_qubo,
-    optimal_slacks,
-    penalized_objective,
     qubo_diagonal,
-    qubo_to_ising,
 )
 
 
