@@ -68,7 +68,7 @@ def _node_bounds(inst: UcInstance, states: np.ndarray) -> np.ndarray:
 def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
     """Best-first branch and bound, stopping once the incumbent is provably
     within `gap` of the optimum: incumbent <= (1 + gap) * lower bound."""
-    if gap < 0:
+    if not gap >= 0:  # also rejects nan
         raise ValidationError(f"gap must be >= 0, got {gap}")
     if inst.n > BNB_GUARD:
         raise SizeGuardError(f"instance has {inst.n} units, solver guard is {BNB_GUARD}")

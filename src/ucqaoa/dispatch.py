@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -143,11 +143,14 @@ def economic_dispatch(inst: UcInstance, commit: Sequence[int]) -> DispatchSoluti
 # ---------------------------------------------------------------------------
 # brute-force enumeration
 
-_CHUNK_ROWS = 1 << 12  # rows per kernel call; bounds the working set
+# rows per kernel call: at n = 16 a chunk's temporaries take about 3 MB,
+# which sets the peak memory of a hybrid run; larger chunks are no faster
+_CHUNK_ROWS = 1 << 10
 
 
-def _enumerate_arrays(inst: UcInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(costs, feasible, powers) of all 2**N commitments, by index.
+def _enumerate_chunks(inst: UcInstance) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(costs, feasible, powers) of the 2**N commitments, chunk by chunk
+    in index order.
 
     Infeasible commitments cost inf and hold zero power.
     """
@@ -155,14 +158,10 @@ def _enumerate_arrays(inst: UcInstance) -> tuple[np.ndarray, np.ndarray, np.ndar
     if n > ENUMERATION_GUARD:
         raise SizeGuardError(f"enumeration guard is N <= {ENUMERATION_GUARD}, got {n}")
     size = 1 << n
-    costs = np.empty(size)
-    feasible = np.empty(size, dtype=bool)
-    powers = np.empty((size, n))
     for start in range(0, size, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, size)
         on = ((np.arange(start, stop)[:, None] >> np.arange(n)) & 1).astype(bool)
-        costs[start:stop], feasible[start:stop], powers[start:stop] = _dispatch_costs(inst, on, ~on)
-    return costs, feasible, powers
+        yield _dispatch_costs(inst, on, ~on)
 
 
 def enumerate_all(inst: UcInstance) -> list[tuple[Commitment, DispatchSolution]]:
@@ -172,7 +171,7 @@ def enumerate_all(inst: UcInstance) -> list[tuple[Commitment, DispatchSolution]]
     index.  Memory grows as 2**N; guarded at N <= 24 (practical use is
     N <= ~16).
     """
-    costs, feasible, powers = _enumerate_arrays(inst)
+    costs, feasible, powers = (np.concatenate(part) for part in zip(*_enumerate_chunks(inst)))
     return [
         (
             index_to_bits(k, inst.n),
@@ -185,9 +184,11 @@ def enumerate_all(inst: UcInstance) -> list[tuple[Commitment, DispatchSolution]]
 
 def near_optimal_set(inst: UcInstance, fraction: float = 0.05) -> NearOptimalSet:
     """All feasible commitments with cost <= (1 + fraction) * optimal cost."""
-    if fraction < 0:
+    if not fraction >= 0:  # also rejects nan
         raise ValidationError(f"fraction must be >= 0, got {fraction}")
-    costs, feasible, _ = _enumerate_arrays(inst)
+    # each chunk's powers are dropped as it arrives: only 2**N costs are kept
+    chunks = [chunk[:2] for chunk in _enumerate_chunks(inst)]
+    costs, feasible = (np.concatenate(part) for part in zip(*chunks))
     if not feasible.any():
         raise InfeasibleError(f"instance {inst.name!r} has no feasible commitment")
     optimal = float(costs.min())

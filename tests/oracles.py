@@ -3,7 +3,8 @@
 Each is the plain, unvectorised definition of a quantity the package
 computes another way, so the tests can check the fast paths against it:
 the penalized objective term by term, its Ising form applied gate by
-gate, and a grid search over the dispatch.
+gate, the mixer applied qubit by qubit, and a grid search over the
+dispatch.
 """
 
 import math
@@ -100,7 +101,7 @@ def penalized_objective(
 
 
 # ---------------------------------------------------------------------------
-# Ising form and the gate-by-gate cost phase
+# Ising form, the gate-by-gate cost phase and the qubit-by-qubit mixer
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +161,26 @@ def gate_decomposed_phase(sv: np.ndarray, ising: IsingModel, gamma: float) -> np
         view[:, 1, :, 1, :] *= same
         view[:, 0, :, 1, :] *= diff
         view[:, 1, :, 0, :] *= diff
+    return out
+
+
+def butterfly_mixer(sv: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-1j * beta * X) applied qubit by qubit.
+
+    One 2x2 butterfly per qubit on the pairs of amplitudes that differ in
+    that bit only: the literal product of n single-qubit rotations, which
+    apply_mixer must equal whichever way it groups them.
+    """
+    n = _qubit_count(len(sv))
+    cos_b = math.cos(beta)
+    msin_b = -1j * math.sin(beta)
+    out = np.array(sv, dtype=complex)
+    for q in range(n):
+        view = out.reshape(-1, 2, 1 << q)
+        a = view[:, 0, :].copy()
+        b = view[:, 1, :]
+        view[:, 0, :] = cos_b * a + msin_b * b
+        view[:, 1, :] = msin_b * a + cos_b * b
     return out
 
 

@@ -251,6 +251,8 @@ def test_size_guard():
 def test_negative_gap_rejected():
     with pytest.raises(ValidationError):
         solve_approx(builtin_ten_unit(700.0), -0.1)
+    with pytest.raises(ValidationError, match="nan"):
+        solve_approx(builtin_ten_unit(700.0), math.nan)
 
 
 def test_gap_zero_equals_exact():

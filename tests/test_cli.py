@@ -3,6 +3,9 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from ucqaoa.baseline import random_instance, scaling_benchmark
 from ucqaoa.cli import main
 from ucqaoa.dispatch import enumerate_all, near_optimal_set
 from ucqaoa.instance import UcInstance, builtin_ten_unit, index_to_string, serialize_instance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -122,6 +127,22 @@ def test_simulate_rejects_negative_shots(capsys):
     rc = main(["simulate", "--gamma", "0.2", "--beta", "0.1", "--shots", "-5"])
     assert rc == 2
     assert "shots" in capsys.readouterr().err
+
+
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the mixer's matrix products run in BLAS, whose thread count the
+    # environment sets; the written distribution must not depend on it
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"dist-{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ucqaoa.cli", "simulate", "--gamma", "0.3,0.1",
+             "--beta", "0.2,0.4", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +367,25 @@ def test_simulate_output_passes_metrics(tmp_path, capsys, simulate_args, expecte
 
 # ---------------------------------------------------------------------------
 # exit codes
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve-classical", "--gap", "nan"], "gap must be >= 0, got nan"),
+    (["bench-classical", "--sizes", "4", "--trials", "1", "--gap", "nan"],
+     "gap must be >= 0, got nan"),
+    (["metrics", "--fraction", "nan"], "fraction must be >= 0, got nan"),
+    (["run-hybrid", "--fraction", "nan"], "fraction must be >= 0, got nan"),
+], ids=["solve-classical", "bench-classical", "metrics", "run-hybrid"])
+def test_exit_code_nan_gap_or_fraction(argv, message, small_instance_path, tmp_path, capsys):
+    if argv[0] in ("metrics", "run-hybrid"):
+        argv = [argv[0], "--instance", small_instance_path, *argv[1:]]
+    if argv[0] == "metrics":
+        dist = tmp_path / "dist.csv"
+        dist.write_text("bitstring,probability\n"
+                        + "".join(f"{b},{p}\n" for b, p in _uniform_rows(4)))
+        argv += ["--distribution", str(dist)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_exit_code_missing_file(capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import instances
 from oracles import all_commitments, dispatch_grid_oracle
+from ucqaoa.baseline import random_instance
 from ucqaoa.dispatch import (
     INFEASIBLE_COST,
     economic_dispatch,
@@ -326,6 +327,38 @@ def test_near_optimal_monotone_in_fraction():
     assert bits_to_index(best[0]) in small.members
 
 
+def _check_against_enumeration(inst, fraction):
+    """near_optimal_set's fields equal those derived from the ranked enumeration."""
+    feasible = [(bits_to_index(bits), sol.cost) for bits, sol in enumerate_all(inst) if sol.feasible]
+    if not feasible:
+        with pytest.raises(InfeasibleError):
+            near_optimal_set(inst, fraction)
+        return
+    nos = near_optimal_set(inst, fraction)
+    optimal = feasible[0][1]
+    cutoff = (1.0 + fraction) * optimal
+    assert nos.optimal_cost == optimal
+    assert nos.cutoff == cutoff
+    assert np.array_equal(nos.members, sorted(k for k, cost in feasible if cost <= cutoff))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin_ten_unit(700.0),
+    lambda: random_instance(12, rng=0),
+    lambda: random_instance(14, rng=0),
+], ids=["builtin", "random-12", "random-14"])
+def test_near_optimal_matches_enumeration(make):
+    inst = make()
+    for fraction in (0.0, 0.05, 0.5):
+        _check_against_enumeration(inst, fraction)
+
+
+@given(instances(degenerate=True), st.sampled_from([0.0, 0.05, 1.0]))
+@settings(max_examples=60)
+def test_near_optimal_matches_enumeration_degenerate(inst, fraction):
+    _check_against_enumeration(inst, fraction)
+
+
 def test_near_optimal_infeasible_instance_raises():
     with pytest.warns(UserWarning):
         inst = _inst([(10.0, 50.0, 5.0, 2.0, 0.1)], load=60.0)
@@ -337,3 +370,5 @@ def test_near_optimal_rejects_negative_fraction():
     inst = builtin_ten_unit(700.0)
     with pytest.raises(ValidationError):
         near_optimal_set(inst, -0.1)
+    with pytest.raises(ValidationError, match="nan"):
+        near_optimal_set(inst, math.nan)

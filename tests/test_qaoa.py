@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gate_decomposed_phase, qubo_to_ising
+from oracles import butterfly_mixer, gate_decomposed_phase, qubo_to_ising
 from ucqaoa.errors import SizeGuardError, ValidationError
 from ucqaoa.qaoa import (
     VariationalParams,
@@ -134,6 +134,30 @@ def test_mixer_preserves_norm(beta):
     sv /= np.linalg.norm(sv)
     out = apply_mixer(sv, beta)
     assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-9)
+
+
+MIXER_BETAS = [0.0, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2, math.pi, 37.3]
+
+
+def _random_state(seed, n):
+    rng = np.random.default_rng(seed)
+    sv = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return sv / np.linalg.norm(sv)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_mixer_matches_butterfly_oracle(n):
+    sv = _random_state(n, n)
+    for beta in MIXER_BETAS:
+        deviation = np.max(np.abs(apply_mixer(sv, beta) - butterfly_mixer(sv, beta)))
+        assert deviation <= 1e-13, (beta, deviation)
+
+
+@given(st.integers(1, 16), st.floats(-100.0, 100.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_mixer_matches_butterfly_oracle_drawn(n, beta, seed):
+    sv = _random_state(seed, n)
+    assert np.max(np.abs(apply_mixer(sv, beta) - butterfly_mixer(sv, beta))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
