@@ -85,22 +85,23 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
     order = sorted(range(inst.n), key=lambda i: (-hi[i], i))
     root = np.full(inst.n, UNDECIDED)
     counter = itertools.count()
-    root_bound = node_lower_bound(inst, root)
-    # (bound, tie-break, depth, states, the node's own bound); a leaf's own
-    # bound is the economic dispatch cost of its commitment
-    heap = [(root_bound, next(counter), 0, root, root_bound)]
+    # (bound, tie-break, depth, states), keyed on the node's own bound; a
+    # leaf's is its commitment's dispatch cost.  Raising a key to the
+    # parent's bound, which can round one ulp above a leaf, could pop the
+    # dearer of two tied leaves first and stop there.
+    heap = [(node_lower_bound(inst, root), next(counter), 0, root)]
     nodes_expanded = 0
     final_lb = math.inf
 
     while heap:
-        bound, _, depth, fixed, own_bound = heapq.heappop(heap)
+        bound, _, depth, fixed = heapq.heappop(heap)
         final_lb = bound
         if incumbent_cost <= (1.0 + gap) * bound:
             break
         nodes_expanded += 1
         if depth == inst.n:
-            if own_bound < incumbent_cost:
-                incumbent_cost = own_bound
+            if bound < incumbent_cost:
+                incumbent_cost = bound
                 incumbent = tuple(int(s == ON) for s in fixed)
             continue
         children = np.array((fixed, fixed))
@@ -108,8 +109,7 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
         for child, child_bound in zip(children, _node_bounds(inst, children).tolist()):
             if incumbent_cost <= (1.0 + gap) * child_bound:
                 continue
-            heapq.heappush(heap, (max(child_bound, bound), next(counter), depth + 1, child,
-                                  child_bound))
+            heapq.heappush(heap, (child_bound, next(counter), depth + 1, child))
     else:
         final_lb = incumbent_cost  # tree exhausted: the incumbent is optimal
 

@@ -7,6 +7,13 @@ against a brute-force near-optimal set.  Each proposal is simulated once:
 the metric snapshots read the distribution the objective already computed
 at the best vertex.
 
+Inputs are validated at the boundary, not per proposal: the public
+`objective` checks its theta, `run_hybrid` starts from a finite point,
+and `nelder_mead` raises on any non-finite value it is handed back.  An
+evaluation builds the cost table straight from the rank-1 structure of
+the penalty (`qubo._cost_table`) and hands the circuit theta's own angle
+vectors.
+
 The phase separator sees a standardized (zero-mean, unit-spread) copy of
 the cost table; the reported expectation always uses the true table.
 Shifting a diagonal Hamiltonian is a global phase and scaling it only
@@ -28,7 +35,7 @@ from .dispatch import NearOptimalSet, near_optimal_set
 from .errors import SizeGuardError, ValidationError
 from .instance import UcInstance, index_to_string
 from .neldermead import nelder_mead
-from .qubo import ContinuousAssignment, PenaltyWeights, build_qubo, qubo_diagonal
+from .qubo import ContinuousAssignment, PenaltyWeights, _cost_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,11 +150,12 @@ def _evaluate(
     shots: int = 0,
     rng=None,
 ) -> tuple[float, np.ndarray]:
-    """Expectation at theta and the distribution it was taken over."""
-    ca = ContinuousAssignment(p=np.abs(theta.p), s1=np.abs(theta.s1), s2=np.abs(theta.s2))
-    diag = qubo_diagonal(build_qubo(inst, w, ca))
-    params = qaoa.VariationalParams(theta.gamma, theta.beta)
-    probs = qaoa.qaoa_distribution(_phase_table(diag), params)
+    """Expectation at theta and the distribution it was taken over.
+
+    Validates nothing: theta must be for inst.n units with finite entries.
+    """
+    diag = _cost_table(inst, w, np.abs(theta.p), np.abs(theta.s1), np.abs(theta.s2))
+    probs = qaoa.qaoa_distribution(_phase_table(diag), theta)
     if shots > 0:
         probs = qaoa.sample(probs, shots, rng) / shots
     return qaoa.expectation(probs, diag), probs
@@ -166,9 +174,15 @@ def objective(
     layers; phases see its standardized copy, the expectation the true
     values.  With shots > 0 the expectation is taken over a sampled
     histogram instead of the exact distribution.
+
+    Raises ValidationError unless theta is for inst.n units and all its
+    entries are finite.
     """
     if theta.n_units != inst.n:
         raise ValidationError(f"theta is for {theta.n_units} units, instance has {inst.n}")
+    # built for their checks only: _evaluate validates nothing
+    ContinuousAssignment(p=np.abs(theta.p), s1=np.abs(theta.s1), s2=np.abs(theta.s2))
+    qaoa.VariationalParams(theta.gamma, theta.beta)
     return _evaluate(inst, w, theta, shots, rng)[0]
 
 

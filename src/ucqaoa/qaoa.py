@@ -17,6 +17,7 @@ Conventions (fixed package-wide):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,10 +72,29 @@ def uniform_state(n: int) -> np.ndarray:
 
 
 def apply_cost_phase(sv: np.ndarray, diag: np.ndarray, gamma: float) -> np.ndarray:
-    """amplitude[k] *= exp(-1j * gamma * diag[k])."""
+    """amplitude[k] *= exp(-1j * gamma * diag[k]).
+
+    The phase factors are written as cos and sin into the real and
+    imaginary parts of one new array, which sv is multiplied into; no
+    complex exp and no complex temporaries.
+    """
     if len(sv) != len(diag):
         raise ValueError(f"state size {len(sv)} != table size {len(diag)}")
-    return sv * np.exp(-1j * gamma * np.asarray(diag, dtype=float))
+    angle = -gamma * np.asarray(diag, dtype=float)
+    out = np.empty(len(sv), dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    out *= sv
+    return out
+
+
+@functools.cache
+def _hamming_index(k: int) -> np.ndarray:
+    """popcount(i ^ j) over a 2**k x 2**k grid, built once per k (read-only)."""
+    idx = np.arange(1 << k)
+    dist = np.bitwise_count(idx[:, None] ^ idx)
+    dist.flags.writeable = False
+    return dist
 
 
 def _rotation_block(k: int, beta: float) -> np.ndarray:
@@ -83,12 +103,12 @@ def _rotation_block(k: int, beta: float) -> np.ndarray:
     Entry [i, j] of the k-fold Kronecker power is
     cos(beta)**(k - d) * (-1j * sin(beta))**d with d = popcount(i ^ j), so
     the block is a (k + 1)-entry table indexed by Hamming distance, and
-    it is symmetric.
+    it is symmetric.  The distance index depends on k alone and is cached;
+    k <= QUBIT_GUARD // 3 + 1, so at most 8 of them are ever built.
     """
     cos_b, msin_b = math.cos(beta), -1j * math.sin(beta)
     table = np.array([cos_b ** (k - d) * msin_b ** d for d in range(k + 1)])
-    idx = np.arange(1 << k)
-    return table[np.bitwise_count(idx[:, None] ^ idx)]
+    return table[_hamming_index(k)]
 
 
 def apply_mixer(sv: np.ndarray, beta: float) -> np.ndarray:
@@ -108,7 +128,12 @@ def apply_mixer(sv: np.ndarray, beta: float) -> np.ndarray:
 
 
 def qaoa_distribution(diag: np.ndarray, vp: VariationalParams) -> np.ndarray:
-    """Basis-state probabilities after the depth-P circuit on the cost table."""
+    """Basis-state probabilities after the depth-P circuit on the cost table.
+
+    Reads only ``vp.gamma`` and ``vp.beta``, so any object carrying
+    finite, equal-length angle vectors under those names will do, such as
+    a `hybrid.ThetaVector`; `VariationalParams` is the validating one.
+    """
     n = _qubit_count(len(diag))
     sv = uniform_state(n)
     for gamma, beta in zip(vp.gamma, vp.beta):

@@ -7,10 +7,14 @@ total_cost.  For a fixed continuous assignment (p, s1, s2) the objective
 is quadratic in the binary ON/OFF variables (using y**2 == y), which
 gives the QUBO whose diagonal cost table drives the QAOA circuit.
 
-The QUBO keeps its couplings in a dense strictly upper-triangular matrix;
-the only nonzero coupling is the rank-1 load term 2*lambda1*p[i]*p[j].
-The 2**n cost table is built by doubling over the bits in O(2**n) adds,
-one preallocated array and no per-bit temporaries.
+The only pairwise coupling is the rank-1 load term 2*lambda1*p[i]*p[j],
+so the objective at y is const + lin @ y + lambda1 * (p @ y)**2, and the
+2**n cost table the program uses (`_cost_table`) is two subset-sum
+doublings, one over lin and one over p, in 2n numpy calls.  `Qubo`,
+`build_qubo` and `qubo_diagonal` are the paper-level formulation, with
+the couplings in a dense strictly upper-triangular matrix and the table
+built by doubling over the bits; the tests check the rank-1 table
+against them.
 """
 
 from __future__ import annotations
@@ -152,3 +156,43 @@ def qubo_diagonal(q: Qubo) -> np.ndarray:
             np.add(upper[:lo], q.quadratic[i, m], out=upper[lo : 2 * lo])
         upper += diag[:h]
     return diag
+
+
+def _cost_table(
+    inst: UcInstance, w: PenaltyWeights, p: np.ndarray, s1: np.ndarray, s2: np.ndarray
+) -> np.ndarray:
+    """The table `qubo_diagonal(build_qubo(inst, w, ContinuousAssignment(p,
+    s1, s2)))` gives, built from the rank-1 coupling without a QUBO.
+
+    Entry k is const + S_lin[k] + lambda1 * S_p[k]**2, where S_v[k] sums v
+    over the set bits of k (unit 0 = LSB), each by one doubling over the
+    bits, and with d = p - s1, e = p + s2:
+      const = sum(b*p + c*p**2) + lambda1*L**2 + lambda2*sum(d**2)
+              + lambda3*sum(e**2)
+      lin = a - 2*lambda1*L*p + lambda2*(p_min**2 - 2*d*p_min)
+            + lambda3*(p_max**2 - 2*e*p_max)
+    Checks only the size guard: p, s1 and s2 must be finite, non-negative
+    length-n vectors, validated once by the caller.
+    """
+    n = inst.n
+    if n > DIAGONAL_GUARD:
+        raise SizeGuardError(f"diagonal guard is n <= {DIAGONAL_GUARD}, got {n}")
+    a, b, c, lo, hi = inst.coeff_arrays
+    load = inst.load
+    d = p - s1
+    e = p + s2
+    const = (float(b @ p + c @ (p * p)) + w.lambda1 * load * load
+             + w.lambda2 * float(d @ d) + w.lambda3 * float(e @ e))
+    lin = (a - 2.0 * w.lambda1 * load * p + w.lambda2 * lo * (lo - 2.0 * d)
+           + w.lambda3 * hi * (hi - 2.0 * e))
+    table = np.empty(1 << n)
+    s_p = np.empty(1 << n)
+    table[0], s_p[0] = const, 0.0
+    for m in range(n):
+        h = 1 << m
+        np.add(table[:h], lin[m], out=table[h : 2 * h])
+        np.add(s_p[:h], p[m], out=s_p[h : 2 * h])
+    np.square(s_p, out=s_p)
+    s_p *= w.lambda1
+    table += s_p
+    return table

@@ -281,7 +281,23 @@ def test_approx_guarantee_randomized(seed):
     assert report.nodes_expanded <= solve_exact(inst).nodes_expanded
 
 
+# two leaves one ulp apart under a parent whose relaxed bound rounds
+# above the cheaper one: the search must still return the cheaper leaf
+_TIED_LEAVES = UcInstance(
+    units=tuple(UnitSpec(*u) for u in (
+        (20.0, 80.0, 0.0, 8.0, 0.0078125),
+        (28.25, 113.0, 0.0, 5.0, 0.0078125),
+        (39.5, 158.0, 0.0, 9.0, 0.0078125),
+        (2.713671871369762, 10.854687485479047, 0.0, 9.0, 0.0),
+        (31.213671871369762, 124.85468748547905, 0.0, 9.0, 0.0),
+        (12.0, 48.0, 0.0, 5.0, 0.0078125),
+    )),
+    load=267.3546874854791,
+)
+
+
 @given(instances(min_units=1, max_units=6, degenerate=True))
+@example(_TIED_LEAVES)
 @settings(max_examples=25, deadline=None)
 def test_exact_matches_enumeration_property(inst):
     # degenerate draws put step units and fixed-output units in the bounds

@@ -22,12 +22,7 @@ from ucqaoa import hybrid, qaoa
 from ucqaoa.dispatch import enumerate_all, near_optimal_set
 from ucqaoa.instance import UcInstance, UnitSpec, index_to_string
 from ucqaoa.metrics import compute_snapshot
-from ucqaoa.qubo import (
-    ContinuousAssignment,
-    PenaltyWeights,
-    build_qubo,
-    qubo_diagonal,
-)
+from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights
 
 
 def _theta(inst, gamma, beta, seed=0):
@@ -126,6 +121,17 @@ def test_objective_dimension_mismatch():
     theta = _theta(random_instance(4, rng=1), gamma=[0.1], beta=[0.1])
     with pytest.raises(ValidationError):
         objective(inst, PenaltyWeights.default_for(inst), theta)
+
+
+@pytest.mark.parametrize("field", ["p", "s1", "s2", "gamma", "beta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_objective_rejects_non_finite_theta(field, bad):
+    inst = random_instance(3, rng=1)
+    theta = _theta(inst, gamma=[0.1], beta=[0.2])
+    parts = {name: getattr(theta, name).copy() for name in ("gamma", "beta", "p", "s1", "s2")}
+    parts[field][0] = bad
+    with pytest.raises(ValidationError):
+        objective(inst, PenaltyWeights.default_for(inst), ThetaVector(**parts))
 
 
 @given(instances(min_units=1, max_units=5), st.data())
@@ -267,10 +273,7 @@ def test_shot_mode_does_not_depend_on_cadence():
 
 
 def _fresh_distribution(inst, w, theta):
-    ca = ContinuousAssignment(p=np.abs(theta.p), s1=np.abs(theta.s1), s2=np.abs(theta.s2))
-    diag = qubo_diagonal(build_qubo(inst, w, ca))
-    return qaoa.qaoa_distribution(_phase_table(diag),
-                                  qaoa.VariationalParams(theta.gamma, theta.beta))
+    return hybrid._evaluate(inst, w, theta)[1]
 
 
 def test_each_vertex_is_simulated_once(monkeypatch):
@@ -317,6 +320,21 @@ def test_each_vertex_is_simulated_once(monkeypatch):
         assert (r.near_opt_prob, r.avg_hamming_top50, r.best_bitstring) == (
             snap.near_opt_prob, snap.avg_hamming_top50,
             index_to_string(int(np.argmax(probs)), inst.n)), r.iter
+
+
+def test_run_hybrid_validates_only_at_the_boundary(monkeypatch):
+    built = []
+    for cls in (ContinuousAssignment, qaoa.VariationalParams):
+        def counting(self, real=cls.__post_init__, name=cls.__name__):
+            built.append(name)
+            real(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    inst = random_instance(4, rng=2)
+    run_hybrid(inst, HybridConfig(depth=2, max_iterations=20, seed=0))
+    assert built == []
+    # the public objective keeps its own checks, one of each per call
+    objective(inst, PenaltyWeights.default_for(inst), _theta(inst, [0.1], [0.2]))
+    assert built == ["ContinuousAssignment", "VariationalParams"]
 
 
 def test_run_hybrid_guard_and_infeasible():

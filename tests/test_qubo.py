@@ -19,6 +19,7 @@ from ucqaoa.qubo import (
     ContinuousAssignment,
     PenaltyWeights,
     Qubo,
+    _cost_table,
     build_qubo,
     qubo_diagonal,
 )
@@ -218,6 +219,9 @@ def test_diagonal_guard():
     q = Qubo(n=21, constant=0.0, linear=np.zeros(21), quadratic=np.zeros((21, 21)))
     with pytest.raises(SizeGuardError):
         qubo_diagonal(q)
+    with pytest.raises(SizeGuardError):
+        _cost_table(random_instance(21, rng=0), PenaltyWeights(1.0, 1.0, 1.0),
+                    np.zeros(21), np.zeros(21), np.zeros(21))
 
 
 def test_diagonal_min_matches_brute_force_min():
@@ -285,6 +289,67 @@ def test_diagonal_allocates_only_its_table():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 8 * (1 << n)
+
+
+# ---------------------------------------------------------------------------
+# rank-1 cost table against the QUBO and the literal objective
+
+
+def _term_scale(inst, w, ca):
+    """Summed magnitudes of every term of the penalized objective, over
+    all commitments at once: the floor for comparing entries that cancel."""
+    a, b, c, lo, hi = inst.coeff_arrays
+    p, d, e = ca.p, ca.p - ca.s1, ca.p + ca.s2
+    return float(np.sum(np.abs(a) + b * p + c * p * p)
+                 + w.lambda1 * (p.sum() + inst.load) ** 2
+                 + w.lambda2 * np.sum((np.abs(d) + lo) ** 2)
+                 + w.lambda3 * np.sum((np.abs(e) + hi) ** 2))
+
+
+@st.composite
+def degenerate_inputs(draw):
+    """Degenerate instances (c = 0, p_min = p_max, a = 0 units, loads at
+    capacity) with weights and continuous entries that may each be 0."""
+    inst = draw(instances(min_units=1, max_units=8, degenerate=True))
+    hi = inst.coeff_arrays[4]
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    w = PenaltyWeights(draw(weight), draw(weight), draw(weight))
+    slack = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
+    p = np.array([draw(st.one_of(st.just(0.0), st.floats(0.0, 1.5 * h))) for h in hi])
+    s1 = np.array([draw(slack) for _ in hi])
+    s2 = np.array([draw(slack) for _ in hi])
+    return inst, w, ContinuousAssignment(p=p, s1=s1, s2=s2)
+
+
+@given(degenerate_inputs())
+@settings(max_examples=200)
+def test_cost_table_matches_qubo_and_objective_everywhere(drawn):
+    inst, w, ca = drawn
+    table = _cost_table(inst, w, ca.p, ca.s1, ca.s2)
+    diag = qubo_diagonal(build_qubo(inst, w, ca))
+    tol = dict(rel=1e-12, abs=1e-12 * _term_scale(inst, w, ca))
+    assert table.shape == (1 << inst.n,)
+    for k in range(1 << inst.n):
+        ref = penalized_objective(inst, w, index_to_bits(k, inst.n), ca)
+        assert table[k] == pytest.approx(diag[k], **tol)
+        assert table[k] == pytest.approx(ref, **tol)
+
+
+def test_cost_table_matches_qubo_and_objective_at_sixteen_units():
+    inst = random_instance(16, rng=4)
+    w = PenaltyWeights.default_for(inst)
+    rng = np.random.default_rng(11)
+    _, _, _, lo, hi = inst.coeff_arrays
+    ca = ContinuousAssignment(p=rng.uniform(lo, hi), s1=rng.uniform(0.0, 50.0, 16),
+                              s2=rng.uniform(0.0, 50.0, 16))
+    table = _cost_table(inst, w, ca.p, ca.s1, ca.s2)
+    scale = _term_scale(inst, w, ca)
+    diag = qubo_diagonal(build_qubo(inst, w, ca))
+    assert np.all(np.abs(table - diag) <= 1e-12 * (np.abs(diag) + scale))
+    ks = np.concatenate([[0, (1 << 16) - 1], rng.integers(0, 1 << 16, 198)])
+    for k in ks:
+        ref = penalized_objective(inst, w, index_to_bits(int(k), 16), ca)
+        assert table[k] == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
