@@ -35,7 +35,7 @@ OFF = 0
 UNDECIDED = -1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SolveReport:
     commitment: Commitment
     dispatch: DispatchSolution

@@ -7,10 +7,17 @@ near-optimal commitment set used by the convergence metrics.  One
 dispatch-and-cost function prices rows of ON/OFF masks, so a single
 commitment, a chunk of the enumeration and a branch-and-bound node (whose
 undecided units are relaxed) share one solve and one cost expression.
+
+The solve finds the load's place on the supply curve by a k-ary search
+whose width follows the row count.  A commitment (one row) and a B&B
+node (two rows) cost what their numpy calls cost, whatever their size,
+so they probe every breakpoint at once and search in one or two steps.
+An enumeration chunk (1024 rows) costs its array work, so it bisects.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -18,14 +25,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InfeasibleError, SizeGuardError, ValidationError
-from .instance import Commitment, UcInstance, _check_lengths, index_to_bits
+from .instance import Commitment, UcInstance, _check_commitment, index_to_bits
 
 ENUMERATION_GUARD = 24
 
 INFEASIBLE_COST = math.inf  # in-memory sentinel; never serialized as a float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class DispatchSolution:
     """Dispatch of one commitment: full-length power vector and total cost."""
 
@@ -47,6 +54,33 @@ class NearOptimalSet:
     n: int
 
 
+# rows * k * n, the size of one search step's temporaries, stays within
+# this wherever k >= 1 allows: a B&B node (2 rows) searches in one step up
+# to n = 11 and in two up to n = 24, a 1024-row enumeration chunk bisects
+_SEARCH_ELEMENTS = 512
+
+
+@functools.cache
+def _search_plan(rows: int, n: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """Steps of the k-ary search over the 2n breakpoints of ``rows`` rows:
+    the fewest the element budget allows, with the fewest probes per step
+    that still reach them, (k + 1) ** steps >= 2n.  Each step is its block
+    width ``gap`` and its k probe offsets gap*j - 1, j = 1..k."""
+    m = 2 * n
+    widest = max(1, min(m - 1, _SEARCH_ELEMENTS // (rows * n)))
+    count = 1
+    while (widest + 1) ** count < m:
+        count += 1
+    k = 1
+    while (k + 1) ** count < m:
+        k += 1
+    steps = tuple(((k + 1) ** s, (k + 1) ** s * np.arange(1, k + 1) - 1)
+                  for s in reversed(range(count)))
+    for _, offsets in steps:
+        offsets.flags.writeable = False  # shared by every call of this shape
+    return steps
+
+
 def _dispatch_rows(
     b: np.ndarray,
     c: np.ndarray,
@@ -60,50 +94,65 @@ def _dispatch_rows(
     At marginal cost lambda unit i supplies clip((lambda - b)/2c, lo, hi),
     so the total supply S(lambda) is nondecreasing and piecewise linear,
     with breakpoints b + 2c*lo and b + 2c*hi; a unit with c == 0 is a
-    vertical jump of hi - lo at lambda == b.  A binary search over the
-    sorted breakpoints finds the first one, lambda*, whose supply just
-    right of it covers the load.  Every unit is linear in lambda between
-    the breakpoint before lambda* and lambda*, so the dispatch is the
-    interpolation between their unit powers that meets the load; load
-    still left at lambda* is a jump, filled lowest-index-first by the units
-    jumping there.  S is summed afresh at each probe, never accumulated
-    across breakpoints, so the result is exact to rounding however widely
-    the curvatures differ.  ``b`` and ``c`` broadcast against the boxes.
+    vertical jump of hi - lo at lambda == b.
+
+    A k-ary search over the sorted breakpoints finds the first one,
+    lambda*, whose supply just right of it covers the load.  Each step
+    evaluates S for every row at k equally spaced probes, in one
+    ``(rows, k, n)`` array, and advances past the blocks whose probe falls
+    short of the load; the breakpoints count as padded with copies of the
+    last one to (k + 1) ** steps slots.  S is nondecreasing, so the number
+    of breakpoints short of the load is lambda*'s index whatever k is.  k
+    sets only how many numpy calls find it, and `_search_plan` sizes it to
+    the row count: the two rows of a B&B node search in one or two steps
+    up to n = 24, the 1024 rows of an enumeration chunk bisect.
+
+    Every unit is linear in lambda between the breakpoint before lambda*
+    and lambda*, so the dispatch is the interpolation between their unit
+    powers that meets the load; load still left at lambda* is a jump,
+    filled lowest-index-first by the units jumping there.  S is summed
+    afresh over the units at each probe, never accumulated across
+    breakpoints, so the result is exact to rounding however widely the
+    curvatures differ.  ``b`` and ``c`` broadcast against the boxes.
 
     Returns ``(powers, feasible)``; the powers of a row whose boxes cannot
     cover the load are meaningless.
     """
+    rows, n = lo.shape
     lam_lo = b + 2.0 * c * lo
     lam_hi = b + 2.0 * c * hi
     slope = np.divide(0.5, c, out=np.zeros(np.shape(c)), where=c > 0)
+    # a probe axis between rows and units: each of these is (rows, 1, n)
+    lo3, hi3, lam_lo3, lam_hi3, slope3 = (v[..., None, :] for v in (lo, hi, lam_lo, lam_hi, slope))
 
-    def supply(lam: np.ndarray, right: bool = True) -> np.ndarray:
-        """Unit powers at marginal cost ``lam`` (one per row), taken just
-        right or just left of it; the two differ only for units jumping there."""
-        ramp = np.minimum(np.maximum(lo + (lam - lam_lo) * slope, lo), hi)
-        if right:
-            return np.where(lam >= lam_hi, hi, ramp)
-        return np.where(lam <= lam_lo, lo, np.where(lam >= lam_hi, hi, ramp))
+    def supply(lam: np.ndarray) -> np.ndarray:
+        """Unit powers ``(rows, probes, n)`` just right of each of the
+        marginal costs ``lam`` ``(rows, probes)``."""
+        lam = lam[..., None]
+        ramp = np.minimum(np.maximum(lo3 + (lam - lam_lo3) * slope3, lo3), hi3)
+        return np.where(lam >= lam_hi3, hi3, ramp)
 
     x = np.sort(np.concatenate((lam_lo, lam_hi), axis=1), axis=1)
-    row = np.arange(len(x))[:, None]
-    first = np.zeros((len(x), 1), dtype=np.intp)
-    last = np.full((len(x), 1), x.shape[1] - 1)
-    for _ in range((x.shape[1] - 1).bit_length()):
-        mid = (first + last) // 2
-        covers = supply(x[row, mid]).sum(axis=1, keepdims=True) >= load
-        # min() keeps rows that cannot cover the load inside the array
-        first = np.where(covers, first, np.minimum(mid + 1, last))
-        last = np.where(covers, mid, last)
+    last = x.shape[1] - 1
+    row = np.arange(rows)[:, None]
+    below = np.zeros((rows, 1), dtype=np.intp)
+    for gap, offsets in _search_plan(rows, n):
+        # a probe past the last breakpoint reads it; +inf would make the
+        # inf * 0 of a c == 0 unit a nan
+        short = supply(x[row, np.minimum(below + offsets, last)]).sum(axis=2) < load
+        below += gap * short.sum(axis=1, keepdims=True)
+    # min() keeps rows that cannot cover the load inside the breakpoints
+    first = np.minimum(below, last)
 
     lam = x[row, first]
-    start = np.where(first > 0, supply(x[row, first - 1]), lo)  # all at lo below the first
-    end = supply(lam, right=False)
+    start = np.where(first > 0, supply(x[row, first - 1])[:, 0], lo)  # all at lo below the first
+    full = supply(lam)[:, 0]  # just right of lambda*
+    end = np.where(lam <= lam_lo, lo, full)  # just left of lambda*
     s_start = start.sum(axis=1, keepdims=True)
     rise = end.sum(axis=1, keepdims=True) - s_start
     t = np.divide(load - s_start, rise, out=np.ones(rise.shape), where=rise > 0)
     p = start + np.clip(t, 0.0, 1.0) * (end - start)
-    room = supply(lam) - end
+    room = full - end
     left = load - p.sum(axis=1, keepdims=True)
     p += np.clip(left - (np.cumsum(room, axis=1) - room), 0.0, room)
     feasible = (lo.sum(axis=1) <= load) & (hi.sum(axis=1) >= load)
@@ -132,12 +181,14 @@ def _dispatch_costs(
 def economic_dispatch(inst: UcInstance, commit: Sequence[int]) -> DispatchSolution:
     """Cheapest power assignment meeting the load with the given units ON.
 
-    Infeasibility (ON units cannot cover the load) is a result, not an error.
+    Infeasibility (ON units cannot cover the load) is a result, not an error;
+    a commitment entry other than 0 or 1 is a ValidationError.
     """
-    _check_lengths(inst, commit)
-    on = np.asarray(commit, dtype=int)[None] != 0
+    on = _check_commitment(inst, commit)[None]
     costs, feasible, powers = _dispatch_costs(inst, on, ~on)
-    return DispatchSolution(powers=powers[0], cost=float(costs[0]), feasible=bool(feasible[0]))
+    # a copy, so the solution does not keep the (1, n) row array alive
+    return DispatchSolution(powers=powers[0].copy(), cost=float(costs[0]),
+                            feasible=bool(feasible[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ class HybridConfig:
             raise ValidationError(f"shots must be >= 0, got {self.shots}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HistoryRecord:
     iter: int
     objective: float

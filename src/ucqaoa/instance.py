@@ -162,11 +162,23 @@ def _check_lengths(inst: UcInstance, *vectors: Sequence) -> None:
             raise ValidationError(f"expected length {inst.n}, got {len(v)}")
 
 
+def _check_commitment(inst: UcInstance, commit: Sequence[int]) -> np.ndarray:
+    """The ON mask of a commitment whose length is n and whose every entry
+    is 0 or 1 (numpy integers and bools included)."""
+    _check_lengths(inst, commit)
+    y = np.asarray(commit)
+    binary = (y == 0) | (y == 1)
+    if not binary.all():
+        raise ValidationError(f"commitment entries must be 0 or 1, got {y[~binary].tolist()}")
+    return y == 1
+
+
 def total_cost(inst: UcInstance, commit: Sequence[int], powers: Sequence[float]) -> float:
-    """Physical cost of a commitment: OFF units contribute 0 (p forced to 0)."""
-    _check_lengths(inst, commit, powers)
+    """Physical cost of a commitment: OFF units contribute 0 (p forced to 0).
+    Every commitment entry must be 0 or 1."""
+    y = _check_commitment(inst, commit).astype(float)
+    _check_lengths(inst, powers)
     a, b, c, _, _ = inst.coeff_arrays
-    y = np.asarray(commit, dtype=float)
     p = np.asarray(powers, dtype=float) * y
     return float(np.sum(a * y + b * p + c * p * p))
 
@@ -181,12 +193,14 @@ def check_feasible(
 
     The load is met iff |sum of ON powers - L| <= tol*L.  ON units must sit
     inside [p_min, p_max]; OFF units must hold p = 0 (within tol*L).
+    Every commitment entry must be 0 or 1.
     """
-    _check_lengths(inst, commit, powers)
+    on = _check_commitment(inst, commit)
+    _check_lengths(inst, powers)
     violations: list[LimitViolation] = []
     on_total = 0.0
     slack = tol * inst.load
-    for i, (u, y) in enumerate(zip(inst.units, commit)):
+    for i, (u, y) in enumerate(zip(inst.units, on.tolist())):
         p = float(powers[i])
         if y:
             on_total += p

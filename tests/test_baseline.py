@@ -150,6 +150,12 @@ def test_ten_unit_exact_matches_enumeration():
     assert report.proven_gap == 0.0
 
 
+def test_report_keeps_no_instance_dict():
+    # slotted reports: a caller that keeps many solves keeps only their fields
+    report = solve_exact(random_instance(6, rng=0))
+    assert not hasattr(report, "__dict__")
+
+
 
 @pytest.mark.parametrize("gap", [0.0, 0.08])
 def test_solve_dispatches_only_the_incumbent(monkeypatch, gap):

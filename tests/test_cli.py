@@ -349,10 +349,10 @@ def test_metrics_rejects_missing_probability_column(small_instance_path, tmp_pat
 
 
 @pytest.mark.parametrize("simulate_args,expected", [
-    (["--gamma", "0.3,0.5", "--beta", "0.2,0.4"],
-     "near_opt_prob,0.005477085477945645\navg_hamming_top50,3.32\n"),
-    (["--gamma", "0.3", "--beta", "0.2", "--shots", "1000"],
-     "near_opt_prob,0.002\navg_hamming_top50,3.42\n"),
+    pytest.param(["--gamma", "0.3,0.5", "--beta", "0.2,0.4"],
+                 "near_opt_prob,0.005477085477945645\navg_hamming_top50,3.32\n", id="exact"),
+    pytest.param(["--gamma", "0.3", "--beta", "0.2", "--shots", "1000"],
+                 "near_opt_prob,0.002\navg_hamming_top50,3.42\n", id="shots"),
 ])
 def test_simulate_output_passes_metrics(tmp_path, capsys, simulate_args, expected):
     dist = str(tmp_path / "dist.csv")

@@ -6,10 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import instances
-from oracles import all_commitments, dispatch_grid_oracle
+from oracles import all_commitments, bisection_dispatch_rows, dispatch_grid_oracle
 from ucqaoa.baseline import random_instance
 from ucqaoa.dispatch import (
+    _SEARCH_ELEMENTS,
     INFEASIBLE_COST,
+    _dispatch_rows,
+    _search_plan,
     economic_dispatch,
     enumerate_all,
     near_optimal_set,
@@ -172,6 +175,107 @@ def test_dispatch_first_order_conditions(inst, data):
                 assert m <= lam + 1e-6 * max(1.0, abs(lam))
             elif sol.powers[i] <= lo[i] + eps:
                 assert m >= lam - 1e-6 * max(1.0, abs(lam))
+
+
+def test_economic_dispatch_powers_own_their_memory():
+    sol = economic_dispatch(builtin_ten_unit(700.0), (1,) * 10)
+    assert sol.powers.base is None and sol.powers.shape == (10,)
+    assert not hasattr(sol, "__dict__")
+
+
+@pytest.mark.parametrize("commit", [
+    (-1, 1) + (0,) * 8,
+    (2, 1) + (0,) * 8,
+    (0.5, 1) + (0,) * 8,
+], ids=["minus-one", "two", "half"])
+def test_economic_dispatch_rejects_non_binary_commitment(commit):
+    with pytest.raises(ValidationError, match="0 or 1"):
+        economic_dispatch(builtin_ten_unit(700.0), commit)
+
+
+def test_economic_dispatch_accepts_numpy_ints_and_bools():
+    inst = builtin_ten_unit(700.0)
+    commit = (1, 1, 1) + (0,) * 7
+    want = economic_dispatch(inst, commit)
+    for same in (np.array(commit), np.array(commit, dtype=np.int8), np.array(commit, dtype=bool),
+                 tuple(bool(y) for y in commit)):
+        got = economic_dispatch(inst, same)
+        assert got.cost == want.cost and got.powers.tobytes() == want.powers.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the breakpoint search against plain bisection
+
+_ROW_COUNTS = (1, 2, 7, 64, 1024)
+
+
+def _degenerate_boxes(rng, rows, n):
+    """(b, c, lo, hi) of ``rows`` rows of n units, with the cases the
+    instance generators never draw: step units (c = 0), fixed outputs
+    (p_min = p_max), OFF units (a [0, 0] box), units tied at one marginal
+    cost, a duplicated unit, and a last row of OFF units alone."""
+    b = rng.uniform(15.0, 30.0, n)
+    c = rng.uniform(3e-4, 8e-3, n)
+    c[rng.random(n) < 0.25] = 0.0
+    b[rng.random(n) < 0.25] = b[0]
+    hi = rng.uniform(10.0, 400.0, (rows, n))
+    lo = rng.uniform(0.0, 0.4, (rows, n)) * hi
+    fixed = rng.random((rows, n)) < 0.2
+    lo[fixed] = hi[fixed]
+    off = rng.random((rows, n)) < 0.2
+    lo[off] = hi[off] = 0.0
+    if n > 1:  # unit n - 1 repeats unit 0, so every breakpoint is doubled
+        b[-1], c[-1], lo[:, -1], hi[:, -1] = b[0], c[0], lo[:, 0], hi[:, 0]
+    if rows > 1:
+        lo[-1] = hi[-1] = 0.0
+    return b, c, lo, hi
+
+
+def _loads(b, c, lo, hi):
+    """Loads for row 0: inside its range, at its lowest breakpoint, exactly
+    at a middle breakpoint's supply, exactly at its capacity; and one that
+    no row covers."""
+    lam_lo, lam_hi = b + 2.0 * c * lo[0], b + 2.0 * c * hi[0]
+    lam = np.sort(np.concatenate((lam_lo, lam_hi)))[len(lam_lo)]
+    slope = np.divide(0.5, c, out=np.zeros(len(c)), where=c > 0)
+    ramp = np.minimum(np.maximum(lo[0] + (lam - lam_lo) * slope, lo[0]), hi[0])
+    at_breakpoint = float(np.where(lam >= lam_hi, hi[0], ramp).sum())
+    return (0.5 * float(lo[0].sum() + hi[0].sum()), float(lo[0].sum()), at_breakpoint,
+            float(hi[0].sum()), 1.01 * float(hi.sum(axis=1).max()) + 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rows", _ROW_COUNTS)
+def test_search_matches_bisection_bit_for_bit(rows):
+    # every (rows, n) here runs its own k and step count, padding included
+    rng = np.random.default_rng(rows)
+    for n in range(1, 25):
+        b, c, lo, hi = _degenerate_boxes(rng, rows, n)
+        for load in _loads(b, c, lo, hi):
+            powers, feasible = _dispatch_rows(b, c, lo, hi, load)
+            want_powers, want_feasible = bisection_dispatch_rows(b, c, lo, hi, load)
+            assert powers.tobytes() == want_powers.tobytes(), (n, load)
+            assert np.array_equal(feasible, want_feasible), (n, load)
+
+
+@pytest.mark.parametrize("rows", _ROW_COUNTS)
+def test_search_plan_takes_fewest_steps_within_budget(rows):
+    for n in range(1, 25):
+        steps = _search_plan(rows, n)
+        k = len(steps[0][1])
+        widest = max(1, min(2 * n - 1, _SEARCH_ELEMENTS // (rows * n)))
+        assert 1 <= k <= widest
+        assert (k + 1) ** len(steps) >= 2 * n > k ** len(steps)  # fewest probes
+        assert (widest + 1) ** (len(steps) - 1) < 2 * n  # fewest steps
+        assert [gap for gap, _ in steps] == [(k + 1) ** s for s in reversed(range(len(steps)))]
+
+
+def test_search_plan_serves_its_callers():
+    # a B&B node bounds two rows and a commitment one: one step at n = 10;
+    # an enumeration chunk bisects
+    assert len(_search_plan(2, 10)) == len(_search_plan(1, 10)) == 1
+    assert all(len(_search_plan(2, n)) <= 2 for n in range(1, 25))
+    assert all(len(_search_plan(1024, n)[0][1]) == 1 for n in range(1, 25))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from oracles import all_commitments, penalized_objective
 from ucqaoa.baseline import random_instance
 from ucqaoa.errors import InfeasibleError, SizeGuardError, ValidationError
 from ucqaoa.hybrid import (
+    HistoryRecord,
     HybridConfig,
     ThetaVector,
     _phase_table,
@@ -47,6 +48,12 @@ def test_pack_unpack_identity_property(depth, n, data):
     vec = np.array([data.draw(st.floats(-10, 10)) for _ in range(2 * depth + 3 * n)])
     theta = ThetaVector.unpack(vec, depth, n)
     assert np.array_equal(theta.pack(), vec)
+
+
+def test_history_record_keeps_no_instance_dict():
+    record = HistoryRecord(0, 1.0, 0.5, 2.0, "0101", 0.0)
+    assert not hasattr(record, "__dict__")
+    assert dataclasses.replace(record, elapsed_ms=3.0).elapsed_ms == 3.0
 
 
 def test_theta_validation():

@@ -138,6 +138,24 @@ def test_total_cost_length_mismatch():
         total_cost(ten, (1, 0), (10.0, 10.0))
 
 
+@pytest.mark.parametrize("commit", [(-1, 1) + (0,) * 8, (2, 1) + (0,) * 8],
+                         ids=["minus-one", "two"])
+def test_total_cost_rejects_non_binary_commitment(commit):
+    # unchecked, (-1, 1, 0, ...) priced at -3049.77 and (2, 1, 0, ...)
+    # charged unit 0's fixed cost twice
+    ten = builtin_ten_unit(700.0)
+    with pytest.raises(ValidationError, match="0 or 1"):
+        total_cost(ten, commit, (455.0, 245.0) + (0.0,) * 8)
+
+
+def test_total_cost_accepts_numpy_ints_and_bools():
+    ten = builtin_ten_unit(700.0)
+    commit, powers = (1, 1) + (0,) * 8, (455.0, 245.0) + (0.0,) * 8
+    want = total_cost(ten, commit, powers)
+    for same in (np.array(commit), np.array(commit, dtype=np.uint8), np.array(commit, dtype=bool)):
+        assert total_cost(ten, same, powers) == want
+
+
 @given(instances(min_units=2, max_units=6), st.data())
 def test_total_cost_permutation_invariant(inst, data):
     perm = data.draw(st.permutations(range(inst.n)))
@@ -207,6 +225,19 @@ def test_check_feasible_zero_tol_is_exact():
     inst = _one_unit_inst()
     assert check_feasible(inst, (1,), (30.0,), tol=0.0).feasible
     assert not check_feasible(inst, (1,), (30.0 + 1e-9,), tol=0.0).load_met
+
+
+@pytest.mark.parametrize("commit", [(-1,), (2,), (0.5,)], ids=["minus-one", "two", "half"])
+def test_check_feasible_rejects_non_binary_commitment(commit):
+    with pytest.raises(ValidationError, match="0 or 1"):
+        check_feasible(_one_unit_inst(), commit, (30.0,))
+
+
+def test_check_feasible_accepts_numpy_ints_and_bools():
+    inst = _one_unit_inst()
+    for commit in (np.array([1]), np.array([1], dtype=np.int16), np.array([True]), (np.True_,)):
+        assert check_feasible(inst, commit, (30.0,)).feasible
+    assert not check_feasible(inst, np.array([False]), (30.0,)).feasible
 
 
 # ---------------------------------------------------------------------------
