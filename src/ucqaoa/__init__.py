@@ -59,12 +59,6 @@ from .metrics import (
 )
 from .neldermead import NmResult, nelder_mead
 from .qaoa import VariationalParams, qaoa_distribution, sample, uniform_state
-from .qubo import (
-    ContinuousAssignment,
-    PenaltyWeights,
-    Qubo,
-    build_qubo,
-    qubo_diagonal,
-)
+from .qubo import ContinuousAssignment, PenaltyWeights
 
 __version__ = "0.1.0"

@@ -53,10 +53,17 @@ def node_lower_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
     economic dispatch cost of its commitment, bit for bit: both are rows
     of the same dispatch-and-cost solve.  This is the one-row call of the
     sibling bound `solve_approx` uses, so a node is bounded identically
-    alone and beside its sibling."""
+    alone and beside its sibling.  Every entry must be UNDECIDED, OFF or
+    ON."""
     states = np.asarray(fixed)
     if states.size != inst.n:
         raise ValidationError(f"partial assignment has {states.size} entries, expected {inst.n}")
+    known = (states == UNDECIDED) | (states == OFF) | (states == ON)
+    if not known.all():
+        raise ValidationError(
+            f"node states must be {UNDECIDED} (undecided), {OFF} (OFF) or {ON} (ON), "
+            f"got {states[~known].tolist()}"
+        )
     return float(_node_bounds(inst, states[None])[0])
 
 

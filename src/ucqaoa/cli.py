@@ -31,6 +31,7 @@ from .errors import (
 )
 from .instance import (
     UcInstance,
+    _check_lengths,
     bits_to_index,
     bits_to_string,
     builtin_ten_unit,
@@ -38,7 +39,7 @@ from .instance import (
     load_instance_file,
     string_to_bits,
 )
-from .qubo import ContinuousAssignment, PenaltyWeights, build_qubo, qubo_diagonal
+from .qubo import ContinuousAssignment, PenaltyWeights, _cost_table
 
 log = logging.getLogger("ucqaoa")
 
@@ -130,7 +131,8 @@ def cmd_simulate(args) -> int:
     s1 = np.array(_float_list(args.s1)) if args.s1 else theta0.s1
     s2 = np.array(_float_list(args.s2)) if args.s2 else theta0.s2
     ca = ContinuousAssignment(p=p, s1=s1, s2=s2)
-    diag = qubo_diagonal(build_qubo(inst, w, ca))
+    _check_lengths(inst, ca.p)
+    diag = _cost_table(inst, w, ca.p, ca.s1, ca.s2)
     probs = qaoa.qaoa_distribution(diag, qaoa.VariationalParams(gamma, beta))
     if args.shots > 0:
         rng = np.random.default_rng(args.seed)

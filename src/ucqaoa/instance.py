@@ -173,13 +173,23 @@ def _check_commitment(inst: UcInstance, commit: Sequence[int]) -> np.ndarray:
     return y == 1
 
 
+def _check_powers(inst: UcInstance, powers: Sequence[float]) -> np.ndarray:
+    """Powers as a float array, checked to be length n and finite."""
+    _check_lengths(inst, powers)
+    p = np.asarray(powers, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(p))
+    if bad.size:
+        named = ", ".join(f"unit {i} has {p[i]}" for i in bad.tolist())
+        raise ValidationError(f"powers must be finite: {named}")
+    return p
+
+
 def total_cost(inst: UcInstance, commit: Sequence[int], powers: Sequence[float]) -> float:
     """Physical cost of a commitment: OFF units contribute 0 (p forced to 0).
-    Every commitment entry must be 0 or 1."""
+    Every commitment entry must be 0 or 1 and every power finite."""
     y = _check_commitment(inst, commit).astype(float)
-    _check_lengths(inst, powers)
     a, b, c, _, _ = inst.coeff_arrays
-    p = np.asarray(powers, dtype=float) * y
+    p = _check_powers(inst, powers) * y
     return float(np.sum(a * y + b * p + c * p * p))
 
 
@@ -193,15 +203,15 @@ def check_feasible(
 
     The load is met iff |sum of ON powers - L| <= tol*L.  ON units must sit
     inside [p_min, p_max]; OFF units must hold p = 0 (within tol*L).
-    Every commitment entry must be 0 or 1.
+    Every commitment entry must be 0 or 1 and every power finite.
     """
     on = _check_commitment(inst, commit)
-    _check_lengths(inst, powers)
+    powers = _check_powers(inst, powers).tolist()
     violations: list[LimitViolation] = []
     on_total = 0.0
     slack = tol * inst.load
     for i, (u, y) in enumerate(zip(inst.units, on.tolist())):
-        p = float(powers[i])
+        p = powers[i]
         if y:
             on_total += p
             if p < u.p_min - slack:

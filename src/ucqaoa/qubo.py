@@ -10,23 +10,18 @@ gives the QUBO whose diagonal cost table drives the QAOA circuit.
 The only pairwise coupling is the rank-1 load term 2*lambda1*p[i]*p[j],
 so the objective at y is const + lin @ y + lambda1 * (p @ y)**2, and the
 2**n cost table the program uses (`_cost_table`) is two subset-sum
-doublings, one over lin and one over p, in 2n numpy calls.  `Qubo`,
-`build_qubo` and `qubo_diagonal` are the paper-level formulation, with
-the couplings in a dense strictly upper-triangular matrix and the table
-built by doubling over the bits; the tests check the rank-1 table
-against them.
+doublings, one over lin and one over p, in 2n numpy calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .instance import UcInstance, _check_lengths
+from .instance import UcInstance
 
 DIAGONAL_GUARD = 20  # 2**20 float64 entries = 8 MB
 
@@ -83,90 +78,16 @@ class ContinuousAssignment:
             raise ValidationError("p, s1, s2 must have equal lengths")
 
 
-@dataclass(frozen=True, eq=False)
-class Qubo:
-    """constant + linear @ y + y @ quadratic @ y over binary y.
-
-    y[i]**2 terms are folded into linear (y binary); quadratic is an
-    (n, n) float array that is strictly upper triangular, so entry [i, j]
-    with i < j is the coefficient of y[i]*y[j] and the rest is zero.
-    """
-
-    n: int
-    constant: float
-    linear: np.ndarray
-    quadratic: np.ndarray
-
-    def value(self, commit: Sequence[int]) -> float:
-        y = np.asarray(commit, dtype=float)
-        return self.constant + float(self.linear @ y) + float(y @ self.quadratic @ y)
-
-
-def build_qubo(inst: UcInstance, w: PenaltyWeights, ca: ContinuousAssignment) -> Qubo:
-    """Reduce the penalized objective at fixed (p, s1, s2) to a QUBO over y.
-
-    Assembled by explicit expansion of each squared term, so it equals the
-    penalized objective exactly at every bitstring; the only pairwise
-    coupling is 2*lambda1*p[i]*p[j] from the load penalty.
-    """
-    _check_lengths(inst, ca.p)
-    a, b, c, lo, hi = inst.coeff_arrays
-    p, s1, s2 = ca.p, ca.s1, ca.s2
-
-    constant = float(np.sum(b * p + c * p * p))
-    linear = a.copy()
-
-    # lambda1 * (sum(p*y) - L)**2
-    constant += w.lambda1 * inst.load**2
-    linear += w.lambda1 * (p * p - 2.0 * inst.load * p)
-    quadratic = np.triu(np.outer(2.0 * w.lambda1 * p, p), 1)
-
-    # lambda2 * sum((d - p_min*y)**2), d = p - s1
-    d = p - s1
-    constant += w.lambda2 * float(np.sum(d * d))
-    linear += w.lambda2 * (lo * lo - 2.0 * d * lo)
-
-    # lambda3 * sum((e - p_max*y)**2), e = p + s2
-    e = p + s2
-    constant += w.lambda3 * float(np.sum(e * e))
-    linear += w.lambda3 * (hi * hi - 2.0 * e * hi)
-
-    return Qubo(n=inst.n, constant=constant, linear=linear, quadratic=quadratic)
-
-
-def qubo_diagonal(q: Qubo) -> np.ndarray:
-    """Cost table over all 2**n bitstrings; entry k is the QUBO value of the
-    commitment whose unit-i bit is bit i of k (unit 0 = LSB).
-
-    Built by doubling: the entries with top bit m are those below 2**m plus
-    linear[m] plus the couplings quadratic[i, m] of the lower set bits i,
-    whose subset sums are themselves doubled bit by bit in place.  About
-    3 * 2**n adds into the one output array.
-    """
-    if q.n > DIAGONAL_GUARD:
-        raise SizeGuardError(f"diagonal guard is n <= {DIAGONAL_GUARD}, got {q.n}")
-    diag = np.empty(1 << q.n)
-    diag[0] = q.constant
-    for m in range(q.n):
-        h = 1 << m
-        upper = diag[h : 2 * h]
-        upper[0] = q.linear[m]
-        for i in range(m):
-            lo = 1 << i
-            np.add(upper[:lo], q.quadratic[i, m], out=upper[lo : 2 * lo])
-        upper += diag[:h]
-    return diag
-
-
 def _cost_table(
     inst: UcInstance, w: PenaltyWeights, p: np.ndarray, s1: np.ndarray, s2: np.ndarray
 ) -> np.ndarray:
-    """The table `qubo_diagonal(build_qubo(inst, w, ContinuousAssignment(p,
-    s1, s2)))` gives, built from the rank-1 coupling without a QUBO.
+    """Cost table over all 2**n bitstrings at fixed (p, s1, s2): entry k is
+    the penalized objective of the commitment whose unit-i bit is bit i of
+    k (unit 0 = LSB), built from the rank-1 coupling.
 
     Entry k is const + S_lin[k] + lambda1 * S_p[k]**2, where S_v[k] sums v
-    over the set bits of k (unit 0 = LSB), each by one doubling over the
-    bits, and with d = p - s1, e = p + s2:
+    over the set bits of k, each by one doubling over the bits, and with
+    d = p - s1, e = p + s2:
       const = sum(b*p + c*p**2) + lambda1*L**2 + lambda2*sum(d**2)
               + lambda3*sum(e**2)
       lin = a - 2*lambda1*L*p + lambda2*(p_min**2 - 2*d*p_min)

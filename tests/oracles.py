@@ -2,9 +2,12 @@
 
 Each is the plain, unvectorised definition of a quantity the package
 computes another way, so the tests can check the fast paths against it:
-the penalized objective term by term, its Ising form applied gate by
-gate, the mixer applied qubit by qubit, a grid search over the dispatch
-and the dispatch's breakpoint found by plain bisection.
+the penalized objective term by term, the paper's matrix QUBO (each
+squared penalty expanded into a constant, a linear vector and a dense
+strictly upper-triangular coupling matrix) with its cost table doubled
+pairwise over the bits, its Ising form applied gate by gate, the mixer
+applied qubit by qubit, a grid search over the dispatch and the
+dispatch's breakpoint found by plain bisection.
 """
 
 import math
@@ -18,7 +21,7 @@ from ucqaoa.dispatch import INFEASIBLE_COST, DispatchSolution, _dispatch_rows
 from ucqaoa.errors import SizeGuardError, ValidationError
 from ucqaoa.instance import Commitment, UcInstance, UnitSpec, _check_lengths, index_to_bits
 from ucqaoa.qaoa import _qubit_count
-from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights, Qubo
+from ucqaoa.qubo import DIAGONAL_GUARD, ContinuousAssignment, PenaltyWeights
 
 
 def hamming(a: Union[str, Sequence[int]], b: Union[str, Sequence[int]]) -> int:
@@ -166,6 +169,85 @@ def penalized_objective(
     value += w.lambda2 * float(np.sum((p - s1 - lo * y) ** 2))
     value += w.lambda3 * float(np.sum((p + s2 - hi * y) ** 2))
     return value
+
+
+# ---------------------------------------------------------------------------
+# the QUBO as a dense coupling matrix, and its cost table bit by bit
+
+
+@dataclass(frozen=True, eq=False)
+class Qubo:
+    """constant + linear @ y + y @ quadratic @ y over binary y.
+
+    y[i]**2 terms are folded into linear (y binary); quadratic is an
+    (n, n) float array that is strictly upper triangular, so entry [i, j]
+    with i < j is the coefficient of y[i]*y[j] and the rest is zero.
+    """
+
+    n: int
+    constant: float
+    linear: np.ndarray
+    quadratic: np.ndarray
+
+    def value(self, commit: Sequence[int]) -> float:
+        y = np.asarray(commit, dtype=float)
+        return self.constant + float(self.linear @ y) + float(y @ self.quadratic @ y)
+
+
+def build_qubo(inst: UcInstance, w: PenaltyWeights, ca: ContinuousAssignment) -> Qubo:
+    """Reduce the penalized objective at fixed (p, s1, s2) to a QUBO over y.
+
+    Assembled by explicit expansion of each squared term, so it equals the
+    penalized objective exactly at every bitstring; the only pairwise
+    coupling is 2*lambda1*p[i]*p[j] from the load penalty.
+    """
+    _check_lengths(inst, ca.p)
+    a, b, c, lo, hi = inst.coeff_arrays
+    p, s1, s2 = ca.p, ca.s1, ca.s2
+
+    constant = float(np.sum(b * p + c * p * p))
+    linear = a.copy()
+
+    # lambda1 * (sum(p*y) - L)**2
+    constant += w.lambda1 * inst.load**2
+    linear += w.lambda1 * (p * p - 2.0 * inst.load * p)
+    quadratic = np.triu(np.outer(2.0 * w.lambda1 * p, p), 1)
+
+    # lambda2 * sum((d - p_min*y)**2), d = p - s1
+    d = p - s1
+    constant += w.lambda2 * float(np.sum(d * d))
+    linear += w.lambda2 * (lo * lo - 2.0 * d * lo)
+
+    # lambda3 * sum((e - p_max*y)**2), e = p + s2
+    e = p + s2
+    constant += w.lambda3 * float(np.sum(e * e))
+    linear += w.lambda3 * (hi * hi - 2.0 * e * hi)
+
+    return Qubo(n=inst.n, constant=constant, linear=linear, quadratic=quadratic)
+
+
+def qubo_diagonal(q: Qubo) -> np.ndarray:
+    """Cost table over all 2**n bitstrings; entry k is the QUBO value of the
+    commitment whose unit-i bit is bit i of k (unit 0 = LSB).
+
+    Built by doubling: the entries with top bit m are those below 2**m plus
+    linear[m] plus the couplings quadratic[i, m] of the lower set bits i,
+    whose subset sums are themselves doubled bit by bit in place.  About
+    3 * 2**n adds into the one output array.
+    """
+    if q.n > DIAGONAL_GUARD:
+        raise SizeGuardError(f"diagonal guard is n <= {DIAGONAL_GUARD}, got {q.n}")
+    diag = np.empty(1 << q.n)
+    diag[0] = q.constant
+    for m in range(q.n):
+        h = 1 << m
+        upper = diag[h : 2 * h]
+        upper[0] = q.linear[m]
+        for i in range(m):
+            lo = 1 << i
+            np.add(upper[:lo], q.quadratic[i, m], out=upper[lo : 2 * lo])
+        upper += diag[:h]
+    return diag
 
 
 # ---------------------------------------------------------------------------

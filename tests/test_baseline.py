@@ -92,6 +92,16 @@ def test_bound_rejects_wrong_length():
         node_lower_bound(builtin_ten_unit(700.0), (ON,) * 3)
 
 
+@pytest.mark.parametrize("fixed", [(2,) * 10, (math.nan,) * 10, (0.5,) + (UNDECIDED,) * 9],
+                         ids=["two", "nan", "half"])
+def test_bound_rejects_unknown_states(fixed):
+    # unchecked, each of these read as all-undecided and returned the
+    # root bound 11581.931
+    with pytest.raises(ValidationError, match="node states must be") as info:
+        node_lower_bound(builtin_ten_unit(700.0), fixed)
+    assert str(fixed[0]) in str(info.value)
+
+
 @st.composite
 def _branch_points(draw):
     """An instance, a partial assignment and the undecided unit branched on.

@@ -10,10 +10,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import build_qubo, qubo_diagonal
 from ucqaoa.baseline import random_instance, scaling_benchmark
 from ucqaoa.cli import main
 from ucqaoa.dispatch import enumerate_all, near_optimal_set
-from ucqaoa.instance import UcInstance, builtin_ten_unit, index_to_string, serialize_instance
+from ucqaoa.hybrid import HybridConfig, initial_theta
+from ucqaoa.instance import (
+    UcInstance,
+    bits_to_index,
+    builtin_ten_unit,
+    index_to_string,
+    serialize_instance,
+    string_to_bits,
+)
+from ucqaoa.qaoa import VariationalParams, qaoa_distribution
+from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -350,7 +361,7 @@ def test_metrics_rejects_missing_probability_column(small_instance_path, tmp_pat
 
 @pytest.mark.parametrize("simulate_args,expected", [
     pytest.param(["--gamma", "0.3,0.5", "--beta", "0.2,0.4"],
-                 "near_opt_prob,0.005477085477945645\navg_hamming_top50,3.32\n", id="exact"),
+                 "near_opt_prob,0.00547708547794123\navg_hamming_top50,3.32\n", id="exact"),
     pytest.param(["--gamma", "0.3", "--beta", "0.2", "--shots", "1000"],
                  "near_opt_prob,0.002\navg_hamming_top50,3.42\n", id="shots"),
 ])
@@ -363,6 +374,37 @@ def test_simulate_output_passes_metrics(tmp_path, capsys, simulate_args, expecte
         "metric,value\n" + expected
         + "members,8\noptimal_cost,13683.12975\ncutoff,14367.2862375\n"
     )
+
+
+@pytest.mark.parametrize("case", ["builtin-exact", "four-unit-explicit"])
+def test_simulate_distribution_matches_matrix_qubo_oracle(tmp_path, small_instance_path, case):
+    # simulate builds its table from the rank-1 coupling; the distribution it
+    # writes must equal, to rounding, the one the matrix QUBO's table drives
+    if case == "builtin-exact":
+        inst = builtin_ten_unit()
+        argv = ["--gamma", "0.3,0.5", "--beta", "0.2,0.4"]
+        gamma, beta = [0.3, 0.5], [0.2, 0.4]
+        theta = initial_theta(inst, HybridConfig(depth=2))
+        ca = ContinuousAssignment(p=theta.p, s1=theta.s1, s2=theta.s2)
+    else:
+        inst = random_instance(4, rng=3)
+        _, _, _, lo, hi = inst.coeff_arrays
+        ca = ContinuousAssignment(p=0.5 * (lo + hi), s1=[0.0, 5.0, 12.5, 1.0],
+                                  s2=[3.0, 0.0, 7.25, 20.0])
+        argv = ["--instance", small_instance_path, "--gamma", "0.7", "--beta", "1.1"]
+        for name, v in (("--p", ca.p), ("--s1", ca.s1), ("--s2", ca.s2)):
+            argv += [name, ",".join(map(repr, v.tolist()))]
+        gamma, beta = [0.7], [1.1]
+    out = tmp_path / "dist.csv"
+    assert main(["simulate", *argv, "--out", str(out)]) == 0
+    rows = _read_csv(out)[1:]
+    written = np.zeros(1 << inst.n)
+    for bits, prob in rows:
+        written[bits_to_index(string_to_bits(bits))] = float(prob)
+    diag = qubo_diagonal(build_qubo(inst, PenaltyWeights.default_for(inst), ca))
+    want = qaoa_distribution(diag, VariationalParams(gamma, beta))
+    assert len(rows) == 1 << inst.n
+    assert np.max(np.abs(written - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +445,10 @@ def test_exit_code_infeasible(capsys):
 def test_exit_code_size_guard(tmp_path, capsys):
     big = tmp_path / "big.json"
     big.write_text(serialize_instance(random_instance(21, rng=0)))
-    rc = main(["run-hybrid", "--instance", str(big), "--iterations", "5"])
-    assert rc == 4
-    capsys.readouterr()
+    for argv in (["run-hybrid", "--instance", str(big), "--iterations", "5"],
+                 ["simulate", "--instance", str(big), "--gamma", "0.2", "--beta", "0.1"]):
+        assert main(argv) == 4, argv[0]
+        assert "error:" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -148,6 +148,17 @@ def test_total_cost_rejects_non_binary_commitment(commit):
         total_cost(ten, commit, (455.0, 245.0) + (0.0,) * 8)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("unit", [0, 3], ids=["on-unit", "off-unit"])
+def test_total_cost_rejects_non_finite_power(unit, bad):
+    # unchecked, a nan power on an OFF unit priced the commitment at nan
+    ten = builtin_ten_unit(700.0)
+    powers = [455.0, 245.0] + [0.0] * 8
+    powers[unit] = bad
+    with pytest.raises(ValidationError, match=f"unit {unit} has {bad}"):
+        total_cost(ten, (1, 1) + (0,) * 8, powers)
+
+
 def test_total_cost_accepts_numpy_ints_and_bools():
     ten = builtin_ten_unit(700.0)
     commit, powers = (1, 1) + (0,) * 8, (455.0, 245.0) + (0.0,) * 8
@@ -231,6 +242,22 @@ def test_check_feasible_zero_tol_is_exact():
 def test_check_feasible_rejects_non_binary_commitment(commit):
     with pytest.raises(ValidationError, match="0 or 1"):
         check_feasible(_one_unit_inst(), commit, (30.0,))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("commit", [(1, 0), (1, 1)], ids=["off-unit", "on-unit"])
+def test_check_feasible_rejects_non_finite_power(commit, bad):
+    # unchecked, a nan power on an OFF unit passed as feasible, since
+    # abs(nan) > slack is False
+    inst = UcInstance(
+        units=(
+            UnitSpec(p_min=10.0, p_max=50.0, a=1.0, b=1.0, c=0.001),
+            UnitSpec(p_min=10.0, p_max=50.0, a=1.0, b=1.0, c=0.001),
+        ),
+        load=30.0,
+    )
+    with pytest.raises(ValidationError, match=f"unit 1 has {bad}"):
+        check_feasible(inst, commit, (30.0, bad))
 
 
 def test_check_feasible_accepts_numpy_ints_and_bools():

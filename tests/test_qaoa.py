@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import butterfly_mixer, gate_decomposed_phase, qubo_to_ising
+from oracles import Qubo, butterfly_mixer, gate_decomposed_phase, qubo_diagonal, qubo_to_ising
 from ucqaoa.errors import SizeGuardError, ValidationError
 from ucqaoa.qaoa import (
     VariationalParams,
@@ -16,7 +16,6 @@ from ucqaoa.qaoa import (
     sample,
     uniform_state,
 )
-from ucqaoa.qubo import Qubo, qubo_diagonal
 
 angles = st.floats(-2.0 * math.pi, 2.0 * math.pi)
 

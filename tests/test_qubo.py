@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instances
-from oracles import all_commitments, optimal_slacks, penalized_objective, qubo_to_ising
+from oracles import (
+    Qubo,
+    all_commitments,
+    build_qubo,
+    optimal_slacks,
+    penalized_objective,
+    qubo_diagonal,
+    qubo_to_ising,
+)
 from ucqaoa.errors import SizeGuardError, ValidationError
 from ucqaoa.baseline import random_instance
 from ucqaoa.instance import (
@@ -15,14 +23,7 @@ from ucqaoa.instance import (
     builtin_ten_unit,
     index_to_bits,
 )
-from ucqaoa.qubo import (
-    ContinuousAssignment,
-    PenaltyWeights,
-    Qubo,
-    _cost_table,
-    build_qubo,
-    qubo_diagonal,
-)
+from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights, _cost_table
 
 
 def _inst(units, load):
@@ -117,7 +118,7 @@ def test_penalized_objective_counts_off_unit_power():
 
 
 # ---------------------------------------------------------------------------
-# build_qubo
+# the matrix QUBO oracle: build_qubo
 
 
 def test_build_qubo_hand_expansion():
@@ -201,7 +202,7 @@ def test_ising_round_trip_values(data):
 
 
 # ---------------------------------------------------------------------------
-# diagonal table
+# the matrix QUBO oracle: its cost table
 
 
 def test_diagonal_zero_qubo():
@@ -292,7 +293,7 @@ def test_diagonal_allocates_only_its_table():
 
 
 # ---------------------------------------------------------------------------
-# rank-1 cost table against the QUBO and the literal objective
+# the rank-1 cost table against the matrix QUBO and the literal objective
 
 
 def _term_scale(inst, w, ca):
