@@ -52,7 +52,7 @@ class PenaltyWeights:
         w = 10.0 * max(u.a for u in inst.units) / inst.load**2
         if w == 0.0:
             raise ValidationError(
-                "default penalty weights scale with max(a), which is 0 for this "
+                "default penalty weights 10*max(a)/L**2 are 0 for this "
                 "instance; pass explicit weights (lambda1, lambda2, lambda3)"
             )
         return cls(lambda1=w, lambda2=w, lambda3=w)

@@ -369,7 +369,11 @@ def test_run_hybrid_rejects_zero_default_weights():
 @settings(max_examples=25, deadline=None)
 def test_run_hybrid_on_degenerate_draws(inst):
     # step units, fixed-output units, a = 0 units and loads at capacity
-    weights = None if max(u.a for u in inst.units) > 0 else PenaltyWeights(1.0, 1.0, 1.0)
+    try:
+        PenaltyWeights.default_for(inst)
+        weights = None
+    except ValidationError:  # 10*max(a)/L**2 is 0, as for a = 0 or a subnormal a
+        weights = PenaltyWeights(1.0, 1.0, 1.0)
     cfg = HybridConfig(depth=1, max_iterations=20, metric_cadence=5, weights=weights)
     if not enumerate_all(inst)[0][1].feasible:
         with pytest.raises(InfeasibleError):

@@ -61,6 +61,13 @@ def test_default_weights_formula():
     assert w.lambda1 == w.lambda2 == w.lambda3 == pytest.approx(expected, rel=1e-12)
 
 
+def test_default_weights_reject_an_underflowing_weight():
+    # max(a) > 0, but 10 * 5e-324 / 25 rounds to 0, so no default exists
+    inst = UcInstance(units=(UnitSpec(2.5, 10.0, 5e-324, 5.0, 0.0078125),), load=5.0)
+    with pytest.raises(ValidationError, match="explicit weights"):
+        PenaltyWeights.default_for(inst)
+
+
 def test_weights_reject_negative_or_non_finite():
     with pytest.raises(ValidationError):
         PenaltyWeights(-1.0, 0.0, 0.0)
