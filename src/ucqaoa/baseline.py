@@ -75,8 +75,8 @@ def _node_bounds(inst: UcInstance, states: np.ndarray) -> np.ndarray:
 def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
     """Best-first branch and bound, stopping once the incumbent is provably
     within `gap` of the optimum: incumbent <= (1 + gap) * lower bound."""
-    if not gap >= 0:  # also rejects nan
-        raise ValidationError(f"gap must be >= 0, got {gap}")
+    if not 0 <= gap < math.inf:  # rejects nan too
+        raise ValidationError(f"gap must be finite and >= 0, got {gap}")
     if inst.n > BNB_GUARD:
         raise SizeGuardError(f"instance has {inst.n} units, solver guard is {BNB_GUARD}")
 

@@ -235,8 +235,8 @@ def enumerate_all(inst: UcInstance) -> list[tuple[Commitment, DispatchSolution]]
 
 def near_optimal_set(inst: UcInstance, fraction: float = 0.05) -> NearOptimalSet:
     """All feasible commitments with cost <= (1 + fraction) * optimal cost."""
-    if not fraction >= 0:  # also rejects nan
-        raise ValidationError(f"fraction must be >= 0, got {fraction}")
+    if not 0 <= fraction < math.inf:  # rejects nan too
+        raise ValidationError(f"fraction must be finite and >= 0, got {fraction}")
     # each chunk's powers are dropped as it arrives: only 2**N costs are kept
     chunks = [chunk[:2] for chunk in _enumerate_chunks(inst)]
     costs, feasible = (np.concatenate(part) for part in zip(*chunks))

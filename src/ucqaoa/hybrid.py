@@ -217,6 +217,8 @@ def run_hybrid(
     w = cfg.weights if cfg.weights is not None else PenaltyWeights.default_for(inst)
     if nos is None:
         nos = near_optimal_set(inst, cfg.near_opt_fraction)
+    elif nos.n != inst.n:
+        raise ValidationError(f"near-optimal set is for {nos.n} units, instance has {inst.n}")
     rng = np.random.default_rng(cfg.seed)
     theta0 = initial_theta(inst, cfg, rng)
     x0 = theta0.pack()
@@ -252,22 +254,10 @@ def run_hybrid(
         )
 
     def callback(iteration: int, x: np.ndarray, fval: float) -> None:
-        if iteration % cfg.metric_cadence == 0:
+        if iteration % cfg.metric_cadence == 0 or iteration == cfg.max_iterations:
             record(iteration, fval)
 
-    # tolerances 0.0 disable the early stops: fixed-budget runs give
-    # comparable histories
-    result = nelder_mead(
-        fun,
-        x0,
-        max_iter=cfg.max_iterations,
-        tol_x=0.0,
-        tol_f=0.0,
-        callback=callback,
-    )
-    if records[-1].iter != result.iterations:
-        record(result.iterations, result.fun)
-
+    result = nelder_mead(fun, x0, max_iter=cfg.max_iterations, callback=callback)
     x = result.x
     x[2 * cfg.depth :] = np.abs(x[2 * cfg.depth :])
     return RunHistory(

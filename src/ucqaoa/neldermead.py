@@ -1,14 +1,15 @@
 """Derivative-free simplex minimizer (Nelder-Mead), written from scratch.
 
 Standard coefficients: reflection 1, expansion 2, contraction 1/2,
-shrink 1/2.  One "iteration" is one simplex update step; the optional
-callback fires once for the initial simplex (iteration 0) and once after
-every step, which is what the run-history cadence counts.
+shrink 1/2.  It runs a fixed iteration budget: one "iteration" is one
+simplex update step, and a run makes exactly max_iter of them.  The
+optional callback fires once for the initial simplex (iteration 0) and
+once after every step, which is what the run-history cadence counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -17,22 +18,21 @@ from .errors import NonFiniteObjectiveError, ValidationError
 
 Callback = Callable[[int, np.ndarray, float], None]
 
+_INITIAL_EDGE = 0.05  # initial simplex edge, relative to max(1, |x0[k]|)
+
 
 @dataclass(frozen=True, eq=False)
 class NmResult:
     x: np.ndarray
     fun: float
-    iterations: int
     fevals: int
-    message: str
-    trace: list[float] = field(default_factory=list)  # best value per iteration
 
 
-def _initial_simplex(x0: np.ndarray, step_scale: float) -> np.ndarray:
+def _initial_simplex(x0: np.ndarray) -> np.ndarray:
     d = x0.size
     simplex = np.tile(x0, (d + 1, 1))
     for k in range(d):
-        simplex[k + 1, k] += step_scale * max(1.0, abs(x0[k]))
+        simplex[k + 1, k] += _INITIAL_EDGE * max(1.0, abs(x0[k]))
     return simplex
 
 
@@ -41,22 +41,11 @@ def nelder_mead(
     x0: Sequence[float],
     *,
     max_iter: int = 1000,
-    tol_x: float = 1e-8,
-    tol_f: float = 1e-12,
-    step_scale: float = 0.05,
     callback: Optional[Callback] = None,
 ) -> NmResult:
-    """Minimize f from x0.  Terminates when the simplex diameter drops
-    below tol_x, the objective spread drops below tol_f, or max_iter
-    iterations have run (whichever first).  Tolerances of 0.0 disable the
-    corresponding test (strict <).  An iteration evaluates f at most
-    d + 2 times, so a run makes at most (d + 1) + (d + 2) * max_iter
-    evaluations.
-
-    The spread test must hold on two consecutive iterations before it
-    fires (a single hit can be an accident of vertices landing
-    symmetrically about a minimum, far apart in x); a degenerate start,
-    e.g. a constant objective, still terminates at iteration 0.
+    """Minimize f from x0 over exactly max_iter iterations.  An iteration
+    evaluates f at most d + 2 times, so a run makes at most
+    (d + 1) + (d + 2) * max_iter evaluations.
 
     Raises NonFiniteObjectiveError if f returns NaN/inf at any vertex
     (typical causes: numerical overflow, penalty weights far too large).
@@ -80,30 +69,16 @@ def nelder_mead(
             )
         return value
 
-    simplex = _initial_simplex(x0, step_scale)
+    simplex = _initial_simplex(x0)
     values = np.array([evaluate(x) for x in simplex])
 
-    trace: list[float] = []
     iteration = 0
-    spread_streak = 0
-    message = "iteration budget exhausted"
     while True:
         order = np.argsort(values, kind="stable")
         simplex = simplex[order]
         values = values[order]
-        trace.append(float(values[0]))
         if callback is not None:
             callback(iteration, simplex[0].copy(), float(values[0]))
-
-        diameter = float(np.max(np.abs(simplex[1:] - simplex[0])))
-        spread = float(values[-1] - values[0])
-        spread_streak = spread_streak + 1 if spread < tol_f else 0
-        if diameter < tol_x:
-            message = "simplex diameter below tol_x"
-            break
-        if spread_streak >= (2 if iteration > 0 else 1):
-            message = "objective spread below tol_f"
-            break
         if iteration >= max_iter:
             break
 
@@ -137,12 +112,5 @@ def nelder_mead(
                     simplex[k] = candidate
         iteration += 1
 
-    best = int(np.argmin(values))
-    return NmResult(
-        x=simplex[best].copy(),
-        fun=float(values[best]),
-        iterations=iteration,
-        fevals=fevals,
-        message=message,
-        trace=trace,
-    )
+    # the loop ends right after a sort, so the best vertex is first
+    return NmResult(x=simplex[0].copy(), fun=float(values[0]), fevals=fevals)

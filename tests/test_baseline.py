@@ -269,6 +269,8 @@ def test_negative_gap_rejected():
         solve_approx(builtin_ten_unit(700.0), -0.1)
     with pytest.raises(ValidationError, match="nan"):
         solve_approx(builtin_ten_unit(700.0), math.nan)
+    with pytest.raises(ValidationError, match="gap must be finite and >= 0, got inf"):
+        solve_approx(builtin_ten_unit(700.0), math.inf)
 
 
 def test_gap_zero_equals_exact():

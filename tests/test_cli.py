@@ -412,12 +412,18 @@ def test_simulate_distribution_matches_matrix_qubo_oracle(tmp_path, small_instan
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["solve-classical", "--gap", "nan"], "gap must be >= 0, got nan"),
+    (["solve-classical", "--gap", "nan"], "gap must be finite and >= 0, got nan"),
     (["bench-classical", "--sizes", "4", "--trials", "1", "--gap", "nan"],
-     "gap must be >= 0, got nan"),
-    (["metrics", "--fraction", "nan"], "fraction must be >= 0, got nan"),
-    (["run-hybrid", "--fraction", "nan"], "fraction must be >= 0, got nan"),
-], ids=["solve-classical", "bench-classical", "metrics", "run-hybrid"])
+     "gap must be finite and >= 0, got nan"),
+    (["metrics", "--fraction", "nan"], "fraction must be finite and >= 0, got nan"),
+    (["run-hybrid", "--fraction", "nan"], "fraction must be finite and >= 0, got nan"),
+    (["solve-classical", "--gap", "inf"], "gap must be finite and >= 0, got inf"),
+    (["bench-classical", "--sizes", "4", "--trials", "1", "--gap", "inf"],
+     "gap must be finite and >= 0, got inf"),
+    (["metrics", "--fraction", "inf"], "fraction must be finite and >= 0, got inf"),
+    (["run-hybrid", "--fraction", "inf"], "fraction must be finite and >= 0, got inf"),
+], ids=["solve-classical", "bench-classical", "metrics", "run-hybrid",
+        "solve-classical-inf", "bench-classical-inf", "metrics-inf", "run-hybrid-inf"])
 def test_exit_code_nan_gap_or_fraction(argv, message, small_instance_path, tmp_path, capsys):
     if argv[0] in ("metrics", "run-hybrid"):
         argv = [argv[0], "--instance", small_instance_path, *argv[1:]]

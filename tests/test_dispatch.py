@@ -476,3 +476,5 @@ def test_near_optimal_rejects_negative_fraction():
         near_optimal_set(inst, -0.1)
     with pytest.raises(ValidationError, match="nan"):
         near_optimal_set(inst, math.nan)
+    with pytest.raises(ValidationError, match="fraction must be finite and >= 0, got inf"):
+        near_optimal_set(inst, math.inf)

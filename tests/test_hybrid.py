@@ -21,7 +21,7 @@ from ucqaoa.hybrid import (
 )
 from ucqaoa import hybrid, qaoa
 from ucqaoa.dispatch import enumerate_all, near_optimal_set
-from ucqaoa.instance import UcInstance, UnitSpec, index_to_string
+from ucqaoa.instance import UcInstance, UnitSpec, builtin_ten_unit, index_to_string
 from ucqaoa.metrics import compute_snapshot
 from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights
 
@@ -283,6 +283,57 @@ def _fresh_distribution(inst, w, theta):
     return hybrid._evaluate(inst, w, theta)[1]
 
 
+# Captured when nelder_mead still had tolerance stops and run_hybrid wrote
+# an off-cadence last record after the simplex returned; the runs must
+# reproduce them bit for bit.  The second ends off the cadence (37 % 10 != 0)
+# with shots > 0, so its last record is the one written at the final step.
+_PINNED_RUNS = [
+    (
+        HybridConfig(depth=2, max_iterations=300, seed=0),
+        300, 18939.36097135825, 0.016366127484546026, "1111111000",
+        [0.5547189029552743, 0.5804549474034431, -0.1837886759803729,
+         -0.6313094699188828, 179.35750118405133, 192.93268341191867,
+         54.86038992465746, 55.65884164969327, 66.58037165323573,
+         32.59322325058147, 35.26267912294735, 24.588962200059875,
+         22.07336455869127, 23.85632693443079, 40.28451224238827,
+         43.49312599660769, 31.68449429218524, 37.68358486761673,
+         53.161308386838336, 14.208337210456627, 11.065138483325743,
+         13.283802661656091, 14.935803976351803, 13.760388221372333,
+         258.05418333207194, 265.26177842880804, 79.79384218495542,
+         65.4350288197401, 98.5718899801426, 46.15947884094617,
+         50.204906185678055, 31.969647061455326, 32.18312470455126,
+         32.45614726239696],
+    ),
+    (
+        HybridConfig(depth=1, max_iterations=37, metric_cadence=10, shots=1024, seed=0),
+        37, 26190.886423775897, 0.0087890625, "0010011101",
+        [0.4998130647480581, 0.152943487649555, 191.35928405777298,
+         191.63600497498624, 55.149524371907304, 54.81905971440271,
+         68.28724399289247, 33.82279697489149, 36.05930439701635,
+         23.33249108042243, 23.33249108042243, 23.222785529751874,
+         41.93788007182413, 40.83190835100585, 34.892799038613006,
+         35.00479700792708, 43.5438827046324, 13.700134579953291,
+         10.870068042930725, 13.202679390317712, 13.260127398432225,
+         13.260127398432225, 263.9440065763942, 263.11685283844207,
+         75.4558078963023, 75.79120349396428, 93.94617880910867,
+         46.640740611670196, 49.36560736642315, 31.93476074125818,
+         32.06550917052323, 32.06550917052323],
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg,last_iter,objective_,near_opt,bits,theta", _PINNED_RUNS,
+                         ids=["p2-300", "p1-37-shots"])
+def test_pinned_trajectory_on_ten_unit(cfg, last_iter, objective_, near_opt, bits, theta):
+    hist = run_hybrid(builtin_ten_unit(700.0), cfg)
+    last = hist.records[-1]
+    assert last.iter == last_iter
+    assert repr(last.objective) == repr(objective_)
+    assert repr(last.near_opt_prob) == repr(near_opt)
+    assert last.best_bitstring == bits
+    assert repr(hist.final_theta.pack().tolist()) == repr(theta)
+
+
 def test_each_vertex_is_simulated_once(monkeypatch):
     inst = random_instance(6, rng=17)
     cfg = HybridConfig(depth=2, max_iterations=60, metric_cadence=7, seed=0)
@@ -312,7 +363,7 @@ def test_each_vertex_is_simulated_once(monkeypatch):
 
     (result,) = results
     assert simulations == result.fevals
-    assert hist.records[-1].iter == result.iterations == 60
+    assert hist.records[-1].iter == 60
     assert hist.records[-1].objective == result.fun
 
     w = PenaltyWeights.default_for(inst)
@@ -353,6 +404,20 @@ def test_run_hybrid_guard_and_infeasible():
                               load=500.0)
     with pytest.raises(InfeasibleError):
         run_hybrid(hopeless, HybridConfig(max_iterations=1))
+
+
+def test_run_hybrid_rejects_near_optimal_set_of_other_size(monkeypatch):
+    simulations = 0
+
+    def counting_distribution(*args, **kwargs):
+        nonlocal simulations
+        simulations += 1
+
+    monkeypatch.setattr(qaoa, "qaoa_distribution", counting_distribution)
+    small = near_optimal_set(random_instance(4, rng=0), 0.05)
+    with pytest.raises(ValidationError, match="near-optimal set is for 4 units, instance has 10"):
+        run_hybrid(builtin_ten_unit(700.0), HybridConfig(max_iterations=1), small)
+    assert simulations == 0
 
 
 def test_run_hybrid_rejects_zero_default_weights():

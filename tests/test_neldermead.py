@@ -17,23 +17,18 @@ def test_rosenbrock_2d():
     def rosen(x):
         return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
 
-    res = nelder_mead(rosen, [-1.2, 1.0], max_iter=2000)
-    assert res.fevals <= 2000
+    d, max_iter = 2, 2000
+    res = nelder_mead(rosen, [-1.2, 1.0], max_iter=max_iter)
+    assert res.fevals <= (d + 1) + (d + 2) * max_iter
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-3)
 
 
-def test_constant_objective_terminates_immediately():
-    res = nelder_mead(lambda x: 5.0, [1.0, 2.0, 3.0], max_iter=500)
-    assert res.iterations <= 1
+def test_constant_objective_runs_full_budget():
+    seen = []
+    res = nelder_mead(lambda x: 5.0, [1.0, 2.0, 3.0], max_iter=500,
+                      callback=lambda it, x, fx: seen.append(it))
+    assert seen[-1] == 500
     assert res.fun == 5.0
-    assert "spread" in res.message or "tol" in res.message
-
-
-def test_zero_tolerances_run_full_budget():
-    res = nelder_mead(lambda x: float(np.sum(x**2)), [3.0, -1.0],
-                      max_iter=40, tol_x=0.0, tol_f=0.0)
-    assert res.iterations == 40
-    assert "budget" in res.message
 
 
 def test_callback_fires_at_zero_and_every_iteration():
@@ -43,16 +38,18 @@ def test_callback_fires_at_zero_and_every_iteration():
         seen.append((iteration, fx))
 
     res = nelder_mead(lambda x: float(np.sum(x**2)), [4.0],
-                      max_iter=10, tol_x=0.0, tol_f=0.0, callback=cb)
-    assert [it for it, _ in seen] == list(range(res.iterations + 1))
-    assert seen[0][0] == 0
+                      max_iter=10, callback=cb)
+    assert [it for it, _ in seen] == list(range(11))
+    assert seen[-1][1] == res.fun
 
 
-def test_trace_is_monotone_nonincreasing():
+def test_best_value_is_monotone_nonincreasing():
+    best = []
     res = nelder_mead(lambda x: float(np.sum((x - 1.0) ** 2)),
-                      [5.0, -5.0, 2.0], max_iter=200)
-    assert all(b <= a + 1e-15 for a, b in zip(res.trace, res.trace[1:]))
-    assert res.trace[-1] == pytest.approx(res.fun)
+                      [5.0, -5.0, 2.0], max_iter=200,
+                      callback=lambda it, x, fx: best.append(fx))
+    assert all(b <= a for a, b in zip(best, best[1:]))
+    assert best[-1] == res.fun
 
 
 def test_non_finite_objective_aborts():
@@ -60,7 +57,7 @@ def test_non_finite_objective_aborts():
         return float("nan") if x[0] > 2.1 else x[0] ** 2
 
     with pytest.raises(NonFiniteObjectiveError):
-        nelder_mead(bad, [2.05], step_scale=0.5)
+        nelder_mead(bad, [2.05])
 
 
 def test_input_validation():
@@ -75,7 +72,7 @@ def test_input_validation():
 @settings(max_examples=25)
 def test_recovers_shifted_sphere_minimum(x0, shift):
     res = nelder_mead(lambda x: float(np.sum((x - shift) ** 2)),
-                      np.array(x0), max_iter=3000)
+                      np.array(x0), max_iter=600)
     assert np.allclose(res.x, shift, atol=1e-3)
 
 
