@@ -31,6 +31,13 @@ def test_constant_objective_runs_full_budget():
     assert res.fun == 5.0
 
 
+def test_sphere_runs_full_budget():
+    seen = []
+    nelder_mead(lambda x: float(np.sum(x**2)), [3.0, -1.0], max_iter=40,
+                callback=lambda it, x, fx: seen.append(it))
+    assert seen[-1] == 40
+
+
 def test_callback_fires_at_zero_and_every_iteration():
     seen = []
 
