@@ -1,13 +1,15 @@
 """Classical reference solver: branch-and-bound over commitments.
 
 Exact and gap-tolerance approximate solving of the mixed-binary UC
-program.  Nodes fix a subset of units ON or OFF; the bound relaxes every
-undecided unit to a free [0, p_max] generator with no startup cost, which
-never overestimates any completion.  Branching splits a node into an ON
-and an OFF child, and both children are bounded together as the two rows
-of one dispatch-and-cost solve, the one that prices a commitment in the
-economic dispatch and the enumeration.  A leaf's bound is therefore its
-commitment's dispatch cost exactly, and no leaf is dispatched twice.
+program.  Nodes fix a subset of units ON or OFF; the bound gives every
+undecided unit the convex envelope of its cost on {0} u [p_min, p_max]
+(the perspective relaxation, which for one load constraint equals the
+Lagrangian bound), and never overestimates any completion.  Branching
+splits a node into an ON and an OFF child, and both children are bounded
+together as the two rows of one dispatch solve.  A leaf is priced by the
+dispatch-and-cost solve that prices a commitment in the economic
+dispatch and the enumeration, so its bound is its commitment's dispatch
+cost exactly, and no leaf is dispatched twice.
 Also hosts the random-instance generator and the runtime-scaling
 benchmark behind `bench-classical`.
 """
@@ -24,7 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dispatch import DispatchSolution, _dispatch_costs, economic_dispatch
+from .dispatch import (INFEASIBLE_COST, DispatchSolution, _dispatch_costs, _dispatch_rows,
+                       economic_dispatch)
 from .errors import InfeasibleError, SizeGuardError, ValidationError
 from .instance import Commitment, UcInstance, UnitSpec
 
@@ -46,8 +49,10 @@ class SolveReport:
 
 def node_lower_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
     """Admissible bound: startup costs of fixed-ON units plus the cost of a
-    relaxed dispatch where undecided units may generate anywhere in
-    [0, p_max] for free.  Infinite when no completion can cover the load.
+    relaxed dispatch in which each undecided unit may generate anywhere in
+    [0, p_max], priced by the convex envelope of its cost (0 at p = 0,
+    a + b*p + c*p**2 on [p_min, p_max]) and scaled by (1 - 1e-12).
+    Infinite when the node's boxes cannot cover the load.
 
     A fully fixed node has no relaxation left, so its bound is the
     economic dispatch cost of its commitment, bit for bit: both are rows
@@ -68,13 +73,55 @@ def node_lower_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
 
 
 def _node_bounds(inst: UcInstance, states: np.ndarray) -> np.ndarray:
-    """`node_lower_bound` of every row of a ``(k, n)`` state array."""
-    return _dispatch_costs(inst, states == ON, states == OFF)[0]
+    """`node_lower_bound` of every row of a ``(k, n)`` state array.
+
+    An undecided unit's cost, 0 at p = 0 and a + b*p + c*p**2 on
+    [p_min, p_max], is replaced by its convex envelope: the chord from the
+    origin to p* = clip(sqrt(a/c), p_min, p_max), where the mean cost
+    f(p)/p is least, then f itself up to p_max.  Its marginal cost never
+    falls, so the dispatch kernel prices it as two virtual units, a c = 0
+    unit at f(p*)/p* on [0, p*] and a tail with marginal b + 2c*p* + 2c*q
+    on [0, p_max - p*].  Decided units keep their boxes and a [0, 0] tail.
+    The chord lies below f, so the relaxed dispatch bounds every
+    completion in exact arithmetic.  The 2n-column solve rounds apart from
+    a leaf's n-column one, so a bound with undecided units is scaled by
+    (1 - 1e-12), well above that rounding and well below any search gap.
+    Rows that are all commitments are priced by the economic dispatch's
+    own call; the two children of a node are both commitments or neither."""
+    on, off = states == ON, states == OFF
+    free = ~(on | off)
+    if not free.any():
+        return _dispatch_costs(inst, on, off)[0]
+    a, b, c, lo, hi = inst.coeff_arrays
+    # p*, where the mean cost f(p)/p is least; p_max for a linear unit
+    ratio = np.divide(a, c, out=np.full(inst.n, math.inf), where=c > 0)
+    knee = np.minimum(np.maximum(np.sqrt(ratio), lo), hi)
+    with np.errstate(over="ignore"):  # a/p* past the largest float is capped there, not inf
+        mean = np.minimum(np.divide(a, knee, out=np.zeros(inst.n), where=knee > 0) + b + c * knee,
+                          np.finfo(float).max)
+    zero = np.zeros(states.shape)
+    box_lo, box_hi = np.where(on, lo, 0.0), np.where(off, 0.0, hi)
+    # each unit's box (an undecided unit's chord), then each unit's tail
+    startup = np.concatenate((np.where(on, a, 0.0), zero), axis=1)
+    price = np.concatenate((np.where(free, mean, b), zero + (b + 2.0 * c * knee)), axis=1)
+    curve = np.concatenate((np.where(free, 0.0, c), zero + c), axis=1)
+    col_lo = np.concatenate((box_lo, zero), axis=1)
+    col_hi = np.concatenate((np.where(free, knee, box_hi), np.where(free, hi - knee, 0.0)), axis=1)
+    p = _dispatch_rows(price, curve, col_lo, col_hi, inst.load)[0]
+    # feasibility from the n box sums, not the 2n columns' sums, which
+    # round in another order: a completion's sums lie within these, so a
+    # node called infeasible has no feasible completion
+    feasible = (box_lo.sum(axis=1) <= inst.load) & (box_hi.sum(axis=1) >= inst.load)
+    cost = (startup + price * p + curve * p * p).sum(axis=1)
+    return np.where(feasible, cost * (1.0 - 1e-12), INFEASIBLE_COST)
 
 
 def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
     """Best-first branch and bound, stopping once the incumbent is provably
-    within `gap` of the optimum: incumbent <= (1 + gap) * lower bound."""
+    within `gap` of the optimum: incumbent <= (1 + gap) * lower bound.
+
+    The all-ON commitment is the first incumbent, so a search whose root
+    bound already proves it within `gap` stops with no node expanded."""
     if not 0 <= gap < math.inf:  # rejects nan too
         raise ValidationError(f"gap must be finite and >= 0, got {gap}")
     if inst.n > BNB_GUARD:

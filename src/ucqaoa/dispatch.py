@@ -5,13 +5,15 @@ Solves the continuous dispatch induced by a fixed commitment exactly
 supply curve), exhaustively enumerates all commitments, and builds the
 near-optimal commitment set used by the convergence metrics.  One
 dispatch-and-cost function prices rows of ON/OFF masks, so a single
-commitment, a chunk of the enumeration and a branch-and-bound node (whose
-undecided units are relaxed) share one solve and one cost expression.
+commitment, a chunk of the enumeration and a branch-and-bound leaf share
+one solve and one cost expression; an inner branch-and-bound node is the
+same solve over the columns of its relaxation.
 
 The solve finds the load's place on the supply curve by a k-ary search
 whose width follows the row count.  A commitment (one row) and a B&B
-node (two rows) cost what their numpy calls cost, whatever their size,
-so they probe every breakpoint at once and search in one or two steps.
+node's two children cost what their numpy calls cost, whatever their
+size, so they probe every breakpoint at once and search in one or two
+steps.
 An enumeration chunk (1024 rows) costs its array work, so it bisects.
 """
 
@@ -55,8 +57,9 @@ class NearOptimalSet:
 
 
 # rows * k * n, the size of one search step's temporaries, stays within
-# this wherever k >= 1 allows: a B&B node (2 rows) searches in one step up
-# to n = 11 and in two up to n = 24, a 1024-row enumeration chunk bisects
+# this wherever k >= 1 allows: two rows, a B&B node's children, search in
+# one step up to 11 columns and in two up to 32 (an inner node has two
+# columns per unit), a 1024-row enumeration chunk bisects
 _SEARCH_ELEMENTS = 512
 
 
@@ -104,8 +107,9 @@ def _dispatch_rows(
     last one to (k + 1) ** steps slots.  S is nondecreasing, so the number
     of breakpoints short of the load is lambda*'s index whatever k is.  k
     sets only how many numpy calls find it, and `_search_plan` sizes it to
-    the row count: the two rows of a B&B node search in one or two steps
-    up to n = 24, the 1024 rows of an enumeration chunk bisect.
+    the row count: the two rows of a B&B node's children search in one or
+    two steps up to 32 columns, the 1024 rows of an enumeration chunk
+    bisect.
 
     Every unit is linear in lambda between the breakpoint before lambda*
     and lambda*, so the dispatch is the interpolation between their unit
@@ -168,7 +172,7 @@ def _dispatch_costs(
     OFF unit holds zero; a unit that is neither is relaxed to a free
     [0, p_max] generator.  Rows with no such unit are commitments, so one
     exact dispatch solve and one cost expression price a commitment, a
-    chunk of the enumeration and a branch-and-bound node alike.
+    chunk of the enumeration and a branch-and-bound leaf alike.
     Infeasible rows cost inf and hold zero power.
     """
     a, b, c, lo, hi = inst.coeff_arrays

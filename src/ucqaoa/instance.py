@@ -30,7 +30,7 @@ Commitment = tuple[int, ...]
 DEFAULT_FEASIBILITY_TOL = 1e-6  # relative; a check tolerance, far above dispatch rounding
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitSpec:
     """One generating unit: cost coefficients and generation limits.
 

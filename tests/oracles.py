@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from ucqaoa.baseline import OFF, ON
+from ucqaoa.baseline import OFF, ON, UNDECIDED
 from ucqaoa.dispatch import INFEASIBLE_COST, DispatchSolution, _dispatch_rows
 from ucqaoa.errors import SizeGuardError, ValidationError
 from ucqaoa.instance import Commitment, UcInstance, UnitSpec, _check_lengths, index_to_bits
@@ -45,23 +45,43 @@ def all_commitments(n: int) -> Iterator[Commitment]:
 def single_node_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
     """The branch-and-bound bound of one node, solved on its own.
 
-    One dispatch on the node's boxes (ON units in [p_min, p_max], OFF
-    units at zero, undecided units anywhere in [0, p_max]), priced by the
-    single cost expression written out: startup cost of each ON unit plus
-    b*p + c*p**2 of every unit.  A fully fixed node is thereby the
-    economic dispatch of its commitment.  Infinite when nothing covers the
-    load.
+    Infinite when the node's boxes (ON units in [p_min, p_max], OFF units
+    at zero, undecided units in [0, p_max]) cannot cover the load.  A fully
+    fixed node is the economic dispatch of its commitment: one dispatch on
+    its boxes, priced by the single cost expression written out, startup
+    cost of each ON unit plus b*p + c*p**2 of every unit.  Otherwise every
+    unit becomes two columns, built unit by unit.  A decided unit keeps its
+    box and gets an empty tail.  An undecided unit is its cost's convex
+    envelope on {0} u [p_min, p_max]: a linear column at the mean cost
+    f(p*)/p* on [0, p*], where p* = clip(sqrt(a/c), p_min, p_max) (p_max
+    when c = 0), and a tail column that continues f from p* to p_max.  The
+    dispatch cost of the 2n columns, scaled by (1 - 1e-12), is the bound.
     """
-    a, b, c, lo, hi = inst.coeff_arrays
-    states = np.asarray(fixed)
-    on = states == ON
-    box_lo = np.where(on, lo, 0.0)
-    box_hi = np.where(states == OFF, 0.0, hi)
-    p, feasible = _dispatch_rows(b[None], c[None], box_lo[None], box_hi[None], inst.load)
-    if not feasible[0]:
+    a, b, c, lo, hi = (v.tolist() for v in inst.coeff_arrays)
+    states = list(fixed)
+    box_lo = np.array([lo[i] if s == ON else 0.0 for i, s in enumerate(states)])
+    box_hi = np.array([0.0 if s == OFF else hi[i] for i, s in enumerate(states)])
+    if not box_lo.sum() <= inst.load <= box_hi.sum():
         return math.inf
-    powers = p[0]
-    return float((np.where(on, a, 0.0) + b * powers + c * powers * powers).sum())
+    if UNDECIDED not in states:
+        b_row, c_row = np.array(b), np.array(c)
+        powers = _dispatch_rows(b_row[None], c_row[None], box_lo[None], box_hi[None], inst.load)[0][0]
+        startup = np.array([a[i] if s == ON else 0.0 for i, s in enumerate(states)])
+        return float((startup + b_row * powers + c_row * powers * powers).sum())
+    heads, tails = [], []  # (startup, price, curvature, lo, hi) of each column
+    for i, s in enumerate(states):
+        knee = min(max(math.sqrt(a[i] / c[i]), lo[i]), hi[i]) if c[i] > 0 else hi[i]
+        tail_price = b[i] + 2.0 * c[i] * knee
+        if s == UNDECIDED:
+            mean = (a[i] / knee if knee > 0 else 0.0) + b[i] + c[i] * knee
+            heads.append((0.0, mean, 0.0, 0.0, knee))
+            tails.append((0.0, tail_price, c[i], 0.0, hi[i] - knee))
+        else:
+            heads.append((a[i] if s == ON else 0.0, b[i], c[i], box_lo[i], box_hi[i]))
+            tails.append((0.0, tail_price, c[i], 0.0, 0.0))
+    startup, price, curve, col_lo, col_hi = np.array(heads + tails).T
+    powers = _dispatch_rows(price[None], curve[None], col_lo[None], col_hi[None], inst.load)[0][0]
+    return float((startup + price * powers + curve * powers * powers).sum()) * (1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,8 @@ def test_load_instance_table_values():
     assert back == ten
     u5 = back.units[4]
     assert (u5.p_max, u5.p_min, u5.a, u5.b, u5.c) == (162.0, 25.0, 450.0, 19.70, 0.00398)
+    # slotted units: an instance keeps only the five floats of each
+    assert not hasattr(u5, "__dict__")
 
 
 @given(instances())
