@@ -91,12 +91,14 @@ def _node_bounds(inst: UcInstance, states: np.ndarray) -> np.ndarray:
     on, off = states == ON, states == OFF
     free = ~(on | off)
     if not free.any():
-        return _dispatch_costs(inst, on, off)[0]
+        return _dispatch_costs(inst, on)[0]
     a, b, c, lo, hi = inst.coeff_arrays
-    # p*, where the mean cost f(p)/p is least; p_max for a linear unit
-    ratio = np.divide(a, c, out=np.full(inst.n, math.inf), where=c > 0)
-    knee = np.minimum(np.maximum(np.sqrt(ratio), lo), hi)
-    with np.errstate(over="ignore"):  # a/p* past the largest float is capped there, not inf
+    # a/c past the largest float is inf, so p* = p_max; a/p* past it is
+    # capped there, not inf
+    with np.errstate(over="ignore"):
+        # p*, where the mean cost f(p)/p is least; p_max for a linear unit
+        ratio = np.divide(a, c, out=np.full(inst.n, math.inf), where=c > 0)
+        knee = np.minimum(np.maximum(np.sqrt(ratio), lo), hi)
         mean = np.minimum(np.divide(a, knee, out=np.zeros(inst.n), where=knee > 0) + b + c * knee,
                           np.finfo(float).max)
     zero = np.zeros(states.shape)
@@ -217,7 +219,6 @@ def scaling_benchmark(
     trials: int = 5,
     gap: float = 0.08,
     seed: int = 0,
-    measure_time: bool = True,
 ) -> list[tuple[int, str, float, float, float]]:
     """Rows of (n, mode, median_ms, cost, nodes_expanded) for exact and
     approximate modes; cost and nodes_expanded are medians too.
@@ -225,9 +226,8 @@ def scaling_benchmark(
     One shared instance stream per size keeps exact/approx comparisons
     paired, and each draw is solved exactly and then approximately before
     the next, so a drift in host speed falls on both modes alike.  Node
-    counts are the noise-free measure of the search work.
-    `measure_time=False` writes 0.0 for every timing so the CSV is
-    reproducible byte for byte.
+    counts are the noise-free measure of the search work; the timings are
+    real wall-clock medians.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -243,7 +243,6 @@ def scaling_benchmark(
                                 report.nodes_expanded))
         for mode, results in runs.items():
             times_ms, costs, nodes = zip(*results)
-            median_ms = statistics.median(times_ms) if measure_time else 0.0
-            rows.append((n, mode, median_ms, statistics.median(costs),
+            rows.append((n, mode, statistics.median(times_ms), statistics.median(costs),
                          float(statistics.median(nodes))))
     return rows

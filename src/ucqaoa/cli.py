@@ -231,14 +231,8 @@ def cmd_solve_classical(args) -> int:
 
 def cmd_bench_classical(args) -> int:
     sizes = _int_list(args.sizes)
-    rows = baseline.scaling_benchmark(
-        sizes,
-        trials=args.trials,
-        gap=args.gap,
-        seed=args.seed,
-        measure_time=args.wall_times,
-    )
-    out_rows = [[n, mode, _fmt(ms), _fmt(cost), _fmt(nodes)]
+    rows = baseline.scaling_benchmark(sizes, trials=args.trials, gap=args.gap, seed=args.seed)
+    out_rows = [[n, mode, _fmt(ms if args.wall_times else 0.0), _fmt(cost), _fmt(nodes)]
                 for n, mode, ms, cost, nodes in rows]
     _write_rows(args.out, ["n", "mode", "median_ms", "cost", "nodes_expanded"], out_rows)
     if args.gnuplot and args.out is not None:

@@ -84,6 +84,12 @@ def _search_plan(rows: int, n: int) -> tuple[tuple[int, np.ndarray], ...]:
     return steps
 
 
+# 0.5/c overflows for c below about 2.8e-309, and a ramp far past hi
+# overflows for any tiny c.  The slope is capped at the largest float, so a
+# unit at its own breakpoint adds 0 * slope = 0 (0 * inf would be nan), and
+# an inf ramp is cut to hi.  One errstate covers the whole solve, not each
+# of its several supply() calls.
+@np.errstate(over="ignore")
 def _dispatch_rows(
     b: np.ndarray,
     c: np.ndarray,
@@ -119,13 +125,18 @@ def _dispatch_rows(
     breakpoints, so the result is exact to rounding however widely the
     curvatures differ.  ``b`` and ``c`` broadcast against the boxes.
 
+    A slope 1/2c past the largest float is capped there.  So when two
+    units both have c below about 1e-308 and b near 0, the dispatch can
+    miss the optimum by about 1e-307 in absolute cost.
+
     Returns ``(powers, feasible)``; the powers of a row whose boxes cannot
     cover the load are meaningless.
     """
     rows, n = lo.shape
     lam_lo = b + 2.0 * c * lo
     lam_hi = b + 2.0 * c * hi
-    slope = np.divide(0.5, c, out=np.zeros(np.shape(c)), where=c > 0)
+    slope = np.minimum(np.divide(0.5, c, out=np.zeros(np.shape(c)), where=c > 0),
+                       np.finfo(float).max)
     # a probe axis between rows and units: each of these is (rows, 1, n)
     lo3, hi3, lam_lo3, lam_hi3, slope3 = (v[..., None, :] for v in (lo, hi, lam_lo, lam_hi, slope))
 
@@ -133,7 +144,7 @@ def _dispatch_rows(
         """Unit powers ``(rows, probes, n)`` just right of each of the
         marginal costs ``lam`` ``(rows, probes)``."""
         lam = lam[..., None]
-        ramp = np.minimum(np.maximum(lo3 + (lam - lam_lo3) * slope3, lo3), hi3)
+        ramp = np.minimum(lo3 + np.maximum(lam - lam_lo3, 0.0) * slope3, hi3)
         return np.where(lam >= lam_hi3, hi3, ramp)
 
     x = np.sort(np.concatenate((lam_lo, lam_hi), axis=1), axis=1)
@@ -163,20 +174,16 @@ def _dispatch_rows(
     return p, feasible
 
 
-def _dispatch_costs(
-    inst: UcInstance, on: np.ndarray, off: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(costs, feasible, powers) of every row of ``(k, n)`` ON/OFF masks.
+def _dispatch_costs(inst: UcInstance, on: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(costs, feasible, powers) of every row of a ``(k, n)`` commitment mask.
 
     An ON unit runs in [p_min, p_max] and pays its startup cost ``a``; an
-    OFF unit holds zero; a unit that is neither is relaxed to a free
-    [0, p_max] generator.  Rows with no such unit are commitments, so one
-    exact dispatch solve and one cost expression price a commitment, a
-    chunk of the enumeration and a branch-and-bound leaf alike.
-    Infeasible rows cost inf and hold zero power.
+    OFF unit holds zero.  One exact dispatch solve and one cost expression
+    price a commitment, a chunk of the enumeration and a branch-and-bound
+    leaf alike.  Infeasible rows cost inf and hold zero power.
     """
     a, b, c, lo, hi = inst.coeff_arrays
-    p, feasible = _dispatch_rows(b, c, np.where(on, lo, 0.0), np.where(off, 0.0, hi), inst.load)
+    p, feasible = _dispatch_rows(b, c, np.where(on, lo, 0.0), np.where(on, hi, 0.0), inst.load)
     p[~feasible] = 0.0
     cost = (np.where(on, a, 0.0) + b * p + c * p * p).sum(axis=1)
     return np.where(feasible, cost, INFEASIBLE_COST), feasible, p
@@ -189,7 +196,7 @@ def economic_dispatch(inst: UcInstance, commit: Sequence[int]) -> DispatchSoluti
     a commitment entry other than 0 or 1 is a ValidationError.
     """
     on = _check_commitment(inst, commit)[None]
-    costs, feasible, powers = _dispatch_costs(inst, on, ~on)
+    costs, feasible, powers = _dispatch_costs(inst, on)
     # a copy, so the solution does not keep the (1, n) row array alive
     return DispatchSolution(powers=powers[0].copy(), cost=float(costs[0]),
                             feasible=bool(feasible[0]))
@@ -216,7 +223,7 @@ def _enumerate_chunks(inst: UcInstance) -> Iterator[tuple[np.ndarray, np.ndarray
     for start in range(0, size, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, size)
         on = ((np.arange(start, stop)[:, None] >> np.arange(n)) & 1).astype(bool)
-        yield _dispatch_costs(inst, on, ~on)
+        yield _dispatch_costs(inst, on)
 
 
 def enumerate_all(inst: UcInstance) -> list[tuple[Commitment, DispatchSolution]]:

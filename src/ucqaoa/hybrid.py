@@ -161,19 +161,13 @@ def _evaluate(
     return qaoa.expectation(probs, diag), probs
 
 
-def objective(
-    inst: UcInstance,
-    w: PenaltyWeights,
-    theta: ThetaVector,
-    shots: int = 0,
-    rng=None,
-) -> float:
-    """QAOA expectation of the penalized objective at theta.
+def objective(inst: UcInstance, w: PenaltyWeights, theta: ThetaVector) -> float:
+    """Exact QAOA expectation of the penalized objective at theta.
 
     The diagonal table is built once per call and reused across all P
     layers; phases see its standardized copy, the expectation the true
-    values.  With shots > 0 the expectation is taken over a sampled
-    histogram instead of the exact distribution.
+    values.  A sampled expectation belongs to a run: `run_hybrid` takes
+    it with `HybridConfig.shots`.
 
     Raises ValidationError unless theta is for inst.n units and all its
     entries are finite.
@@ -183,7 +177,7 @@ def objective(
     # built for their checks only: _evaluate validates nothing
     ContinuousAssignment(p=np.abs(theta.p), s1=np.abs(theta.s1), s2=np.abs(theta.s2))
     qaoa.VariationalParams(theta.gamma, theta.beta)
-    return _evaluate(inst, w, theta, shots, rng)[0]
+    return _evaluate(inst, w, theta)[0]
 
 
 def initial_theta(inst: UcInstance, cfg: HybridConfig, seed=None) -> ThetaVector:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -75,6 +76,11 @@ class UcInstance:
         object.__setattr__(self, "units", tuple(self.units))
         if len(self.units) < 1:
             raise ValidationError("an instance needs at least one unit")
+        # numbers.Real admits numpy floats and ints; bool is an int, not a load
+        if isinstance(self.load, bool) or not isinstance(self.load, numbers.Real):
+            raise ValidationError(f"load must be a number, got {self.load!r}")
+        # a float, as load_instance reads it, so that it serializes as one
+        object.__setattr__(self, "load", float(self.load))
         if not math.isfinite(self.load) or self.load <= 0:
             raise ValidationError(f"load must be a finite positive number, got {self.load}")
         cap = sum(u.p_max for u in self.units)

@@ -40,9 +40,7 @@ def top_k(probs: np.ndarray, k: int) -> np.ndarray:
     ties broken by ascending index.  Returns all indices when 2^N < k."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    probs = np.asarray(probs, dtype=float)
-    order = np.lexsort((np.arange(probs.size), -probs))
-    return order[: min(k, probs.size)]
+    return np.argsort(-np.asarray(probs, dtype=float), kind="stable")[:k]
 
 
 def avg_hamming_top_k(probs: np.ndarray, nos: NearOptimalSet, k: int = 50) -> float:
@@ -69,7 +67,6 @@ class MetricSnapshot:
 
 
 def compute_snapshot(probs: np.ndarray, nos: NearOptimalSet, k: int = 50) -> MetricSnapshot:
-    probs = _check_dim(probs, nos)
     return MetricSnapshot(
         near_opt_prob=near_opt_probability(probs, nos),
         avg_hamming_top50=avg_hamming_top_k(probs, nos, k),

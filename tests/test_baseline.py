@@ -449,15 +449,13 @@ def test_random_instance_validation():
 
 
 def test_scaling_benchmark_shape_and_determinism():
-    rows = scaling_benchmark([3, 5], trials=3, gap=0.08, seed=4,
-                             measure_time=False)
+    rows = scaling_benchmark([3, 5], trials=3, gap=0.08, seed=4)
     assert [(r[0], r[1]) for r in rows] == [
         (3, "exact"), (3, "approx"), (5, "exact"), (5, "approx")
     ]
-    assert all(r[2] == 0.0 for r in rows)
-    again = scaling_benchmark([3, 5], trials=3, gap=0.08, seed=4,
-                              measure_time=False)
-    assert rows == again
+    again = scaling_benchmark([3, 5], trials=3, gap=0.08, seed=4)
+    # every column but the wall-clock median_ms
+    assert [r[:2] + r[3:] for r in rows] == [r[:2] + r[3:] for r in again]
     by_size = {(n, mode): (cost, nodes) for n, mode, _, cost, nodes in rows}
     for n in (3, 5):
         (exact_cost, exact_nodes), (approx_cost, approx_nodes) = (
@@ -482,7 +480,7 @@ def test_scaling_benchmark_interleaves_modes_per_draw(monkeypatch):
         return solve(inst, gap)
 
     monkeypatch.setattr(baseline, "solve_approx", recording)
-    scaling_benchmark([3, 4], trials=2, gap=0.08, measure_time=False)
+    scaling_benchmark([3, 4], trials=2, gap=0.08)
     assert [gap for _, gap in calls] == [0.0, 0.08] * 4
     assert all(calls[k][0] is calls[k + 1][0] for k in range(0, 8, 2))
     assert len({id(inst) for inst, _ in calls}) == 4

@@ -260,7 +260,7 @@ def test_bench_classical_csv(tmp_path):
     assert [(r[0], r[1]) for r in rows[1:]] == [
         ("3", "exact"), ("3", "approx"), ("4", "exact"), ("4", "approx")]
     assert all(r[2] == "0.0" for r in rows[1:])
-    expected = scaling_benchmark([3, 4], trials=2, measure_time=False)
+    expected = scaling_benchmark([3, 4], trials=2)
     assert [(float(r[3]), float(r[4])) for r in rows[1:]] == [
         (cost, nodes) for _, _, _, cost, nodes in expected]
     assert os.path.exists(str(tmp_path / "scaling.gp"))

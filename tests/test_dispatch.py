@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import instances
 from oracles import all_commitments, bisection_dispatch_rows, dispatch_grid_oracle
-from ucqaoa.baseline import random_instance
+from ucqaoa.baseline import random_instance, solve_exact
 from ucqaoa.dispatch import (
     _SEARCH_ELEMENTS,
     INFEASIBLE_COST,
@@ -88,7 +88,10 @@ def test_table_units_1_2_against_grid():
     # the load falls in the jump of the step unit 1 at marginal cost 15,
     # where unit 0's ramp has reached 50 MW
     ([(0.0, 100.0, 0.0, 10.0, 0.05), (0.0, 100.0, 0.0, 15.0, 0.0)], 80.0, {0: 50.0, 1: 30.0}),
-], ids=["fixed_output", "load_in_jump"])
+    # 0.5/c overflows for unit 0; its ramp at its own breakpoint must read
+    # 0 * slope = 0, not 0 * inf = nan.  Alone, unit 0 meets the load for 10
+    ([(0.0, 100.0, 10.0, 0.0, 1e-310), (0.0, 100.0, 20.0, 5.0, 0.01)], 50.0, {0: 50.0, 1: 0.0}),
+], ids=["fixed_output", "load_in_jump", "subnormal_curvature"])
 def test_degenerate_units_against_grid(units, load, expected):
     inst = _inst(units, load=load)
     commit = (1,) * inst.n
@@ -99,6 +102,7 @@ def test_degenerate_units_against_grid(units, load, expected):
         assert fast.powers[i] == pytest.approx(power, abs=1e-9)
     assert fast.cost <= slow.cost + 1e-9 * slow.cost
     assert fast.cost == pytest.approx(slow.cost, rel=1e-3)
+    assert solve_exact(inst).dispatch.cost == enumerate_all(inst)[0][1].cost
 
 
 def test_step_units_fill_lowest_index_first():

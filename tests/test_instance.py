@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,18 @@ def test_instance_requires_units_and_positive_load():
         UcInstance(units=(u,), load=0.0)
     with pytest.raises(ValidationError):
         UcInstance(units=(u,), load=-3.0)
+
+
+def test_instance_load_must_be_a_number():
+    u = UnitSpec(p_min=0.0, p_max=10.0, a=1.0, b=1.0, c=1.0)
+    # True would be stored as 1 MW and serialized as a bool load_instance rejects
+    for bad in (True, np.bool_(True), "7", None):
+        with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+            UcInstance(units=(u,), load=bad)
+    for good in (7, 7.0, np.float64(7.0), np.float32(7.0), np.int64(7)):
+        inst = UcInstance(units=(u,), load=good)
+        assert type(inst.load) is float and inst.load == 7.0
+        assert load_instance(serialize_instance(inst)).load == 7.0
 
 
 def test_instance_warns_when_load_exceeds_capacity():
