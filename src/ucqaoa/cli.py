@@ -82,6 +82,17 @@ def _int_list(text: str) -> list[int]:
         raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _seed(text: str) -> int:
+    """--seed: numpy's generators accept only non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return seed
+
+
 def _out_stream(path: Optional[str]):
     if path is None or path == "-":
         return sys.stdout, False
@@ -312,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ucqaoa",
         description="Hybrid QAOA / simplex solver for single-period unit commitment.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    parser.add_argument("--seed", type=_seed, default=0, help="RNG seed >= 0 (default 0)")
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -31,6 +31,21 @@ Commitment = tuple[int, ...]
 DEFAULT_FEASIBILITY_TOL = 1e-6  # relative; a check tolerance, far above dispatch rounding
 
 
+def _finite_float(value, name: str) -> float:
+    """`value` as a finite Python float, so that it serializes as one.
+    numbers.Real admits numpy floats and ints; a bool is an int, not a
+    number here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        result = float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is too large for a float") from None
+    if not math.isfinite(result):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return result
+
+
 @dataclass(frozen=True, slots=True)
 class UnitSpec:
     """One generating unit: cost coefficients and generation limits.
@@ -48,11 +63,7 @@ class UnitSpec:
 
     def __post_init__(self) -> None:
         for name in ("p_min", "p_max", "a", "b", "c"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, _finite_float(getattr(self, name), name))
         if self.p_min < 0:
             raise ValidationError(f"p_min must be >= 0, got {self.p_min}")
         if self.p_min > self.p_max:
@@ -76,13 +87,9 @@ class UcInstance:
         object.__setattr__(self, "units", tuple(self.units))
         if len(self.units) < 1:
             raise ValidationError("an instance needs at least one unit")
-        # numbers.Real admits numpy floats and ints; bool is an int, not a load
-        if isinstance(self.load, bool) or not isinstance(self.load, numbers.Real):
-            raise ValidationError(f"load must be a number, got {self.load!r}")
-        # a float, as load_instance reads it, so that it serializes as one
-        object.__setattr__(self, "load", float(self.load))
-        if not math.isfinite(self.load) or self.load <= 0:
-            raise ValidationError(f"load must be a finite positive number, got {self.load}")
+        object.__setattr__(self, "load", _finite_float(self.load, "load"))
+        if self.load <= 0:
+            raise ValidationError(f"load must be positive, got {self.load}")
         cap = sum(u.p_max for u in self.units)
         if self.load > cap:
             warnings.warn(
@@ -240,17 +247,11 @@ def _reject_constant(value: str) -> float:
     raise ValidationError(f"non-finite number {value!r} not permitted in instance documents")
 
 
-def _require_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
 def load_instance(text: str) -> UcInstance:
     """Parse an instance document; errors name the offending field path."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, a NaN token, or an integer past int's digit limit
         raise ValidationError(f"malformed instance document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("instance document must be a JSON object")
@@ -262,7 +263,6 @@ def load_instance(text: str) -> UcInstance:
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise ValidationError(f"name: expected a string, got {name!r}")
-    load = _require_number(doc["load"], "load")
     raw_units = doc["units"]
     if not isinstance(raw_units, list) or not raw_units:
         raise ValidationError("units: expected a non-empty array")
@@ -277,12 +277,11 @@ def load_instance(text: str) -> UcInstance:
         missing = [k for k in _UNIT_KEYS if k not in raw]
         if missing:
             raise ValidationError(f"{path}: missing keys {missing}")
-        fields = {k: _require_number(raw[k], f"{path}.{k}") for k in _UNIT_KEYS}
         try:
-            units.append(UnitSpec(**fields))
+            units.append(UnitSpec(**raw))
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
-    return UcInstance(units=tuple(units), load=load, name=name)
+    return UcInstance(units=tuple(units), load=doc["load"], name=name)
 
 
 def serialize_instance(inst: UcInstance) -> str:

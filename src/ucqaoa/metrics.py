@@ -16,8 +16,10 @@ import numpy as np
 from .dispatch import NearOptimalSet
 from .errors import ValidationError
 
-HISTORY_FIELDS = ("iter", "objective", "near_opt_prob", "avg_hamming_top50",
-                  "best_bitstring", "elapsed_ms")
+# each history field and the type load_history reads it back as
+_HISTORY_TYPES = {"iter": int, "objective": float, "near_opt_prob": float,
+                  "avg_hamming_top50": float, "best_bitstring": str, "elapsed_ms": float}
+HISTORY_FIELDS = tuple(_HISTORY_TYPES)
 
 
 def _check_dim(probs: np.ndarray, nos: NearOptimalSet) -> np.ndarray:
@@ -79,17 +81,9 @@ def export_history(history, format: str, path: str) -> None:
     rows = [asdict(r) for r in getattr(history, "records", history)]
     if format == "csv":
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(HISTORY_FIELDS)
-            for row in rows:
-                writer.writerow([
-                    row["iter"],
-                    repr(float(row["objective"])),
-                    repr(float(row["near_opt_prob"])),
-                    repr(float(row["avg_hamming_top50"])),
-                    row["best_bitstring"],
-                    repr(float(row["elapsed_ms"])),
-                ])
+            writer = csv.DictWriter(fh, HISTORY_FIELDS)
+            writer.writeheader()
+            writer.writerows(rows)  # csv writes a float as its repr: exact
     elif format == "json":
         with open(path, "w") as fh:
             json.dump(rows, fh, indent=2)
@@ -105,18 +99,7 @@ def load_history(path: str) -> tuple[dict, ...]:
             rows = json.load(fh)
     elif path.endswith(".csv"):
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
+            rows = list(csv.DictReader(fh))
     else:
         raise ValidationError(f"cannot infer history format from path: {path!r}")
-    out = []
-    for row in rows:
-        out.append({
-            "iter": int(row["iter"]),
-            "objective": float(row["objective"]),
-            "near_opt_prob": float(row["near_opt_prob"]),
-            "avg_hamming_top50": float(row["avg_hamming_top50"]),
-            "best_bitstring": str(row["best_bitstring"]),
-            "elapsed_ms": float(row["elapsed_ms"]),
-        })
-    return tuple(out)
+    return tuple({f: kind(row[f]) for f, kind in _HISTORY_TYPES.items()} for row in rows)

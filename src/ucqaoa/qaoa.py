@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import SizeGuardError, ValidationError
 
-QUBIT_GUARD = 20  # 2**20 complex doubles = 16 MB
+QUBIT_GUARD = 20  # 2**20 amplitudes (16 MB) and cost-table entries (8 MB)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import SizeGuardError, ValidationError
 from .instance import UcInstance
-
-DIAGONAL_GUARD = 20  # 2**20 float64 entries = 8 MB
+from .qaoa import QUBIT_GUARD
 
 
 @dataclass(frozen=True)
@@ -92,12 +91,13 @@ def _cost_table(
               + lambda3*sum(e**2)
       lin = a - 2*lambda1*L*p + lambda2*(p_min**2 - 2*d*p_min)
             + lambda3*(p_max**2 - 2*e*p_max)
-    Checks only the size guard: p, s1 and s2 must be finite, non-negative
-    length-n vectors, validated once by the caller.
+    Checks only the size guard, the simulator's: the table has one entry
+    per amplitude.  p, s1 and s2 must be finite, non-negative length-n
+    vectors, validated once by the caller.
     """
     n = inst.n
-    if n > DIAGONAL_GUARD:
-        raise SizeGuardError(f"diagonal guard is n <= {DIAGONAL_GUARD}, got {n}")
+    if n > QUBIT_GUARD:
+        raise SizeGuardError(f"cost table guard is n <= {QUBIT_GUARD}, got {n}")
     a, b, c, lo, hi = inst.coeff_arrays
     load = inst.load
     d = p - s1

@@ -20,8 +20,8 @@ from ucqaoa.baseline import OFF, ON, UNDECIDED
 from ucqaoa.dispatch import INFEASIBLE_COST, DispatchSolution, _dispatch_rows
 from ucqaoa.errors import SizeGuardError, ValidationError
 from ucqaoa.instance import Commitment, UcInstance, UnitSpec, _check_lengths, index_to_bits
-from ucqaoa.qaoa import _qubit_count
-from ucqaoa.qubo import DIAGONAL_GUARD, ContinuousAssignment, PenaltyWeights
+from ucqaoa.qaoa import QUBIT_GUARD, _qubit_count
+from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights
 
 
 def hamming(a: Union[str, Sequence[int]], b: Union[str, Sequence[int]]) -> int:
@@ -255,8 +255,8 @@ def qubo_diagonal(q: Qubo) -> np.ndarray:
     whose subset sums are themselves doubled bit by bit in place.  About
     3 * 2**n adds into the one output array.
     """
-    if q.n > DIAGONAL_GUARD:
-        raise SizeGuardError(f"diagonal guard is n <= {DIAGONAL_GUARD}, got {q.n}")
+    if q.n > QUBIT_GUARD:
+        raise SizeGuardError(f"cost table guard is n <= {QUBIT_GUARD}, got {q.n}")
     diag = np.empty(1 << q.n)
     diag[0] = q.constant
     for m in range(q.n):

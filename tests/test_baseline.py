@@ -9,7 +9,6 @@ from conftest import instances
 from oracles import all_commitments, single_node_bound
 from ucqaoa import baseline
 from ucqaoa.baseline import (
-    BNB_GUARD,
     OFF,
     ON,
     UNDECIDED,
@@ -21,7 +20,7 @@ from ucqaoa.baseline import (
     solve_exact,
 )
 from ucqaoa.dispatch import economic_dispatch, enumerate_all
-from ucqaoa.errors import InfeasibleError, SizeGuardError, ValidationError
+from ucqaoa.errors import InfeasibleError, ValidationError
 from ucqaoa.instance import UcInstance, UnitSpec, builtin_ten_unit
 
 
@@ -334,9 +333,31 @@ def test_infeasible_instance_reported():
 
 
 def test_size_guard():
-    inst = random_instance(BNB_GUARD + 1, rng=0)
-    with pytest.raises(SizeGuardError):
-        solve_exact(inst)
+    # 41 units, one past the cap branch and bound once had: it has no size limit
+    inst = random_instance(41, rng=0)
+    report = solve_exact(inst)
+    assert report.proven_gap == 0.0
+    assert report.dispatch.cost == economic_dispatch(inst, report.commitment).cost
+
+
+def test_exact_solve_at_paper_scale():
+    # the paper's classical claim concerns fleets of up to about 400 units
+    inst = random_instance(400, rng=0)
+    report = solve_exact(inst)
+    cost = report.dispatch.cost
+    assert report.proven_gap == 0.0
+    assert cost == economic_dispatch(inst, report.commitment).cost
+    assert node_lower_bound(inst, [UNDECIDED] * inst.n) <= cost
+    # an independent necessary condition for optimality: no single flip is cheaper
+    for i in range(inst.n):
+        flipped = list(report.commitment)
+        flipped[i] = 1 - flipped[i]
+        assert economic_dispatch(inst, flipped).cost >= cost, i
+    approx = solve_approx(inst, 0.08).dispatch.cost
+    assert cost <= approx <= 1.08 * cost
+    perm = np.random.default_rng(1).permutation(inst.n)
+    shuffled = UcInstance(units=tuple(inst.units[i] for i in perm), load=inst.load)
+    assert solve_exact(shuffled).dispatch.cost == pytest.approx(cost, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

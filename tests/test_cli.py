@@ -457,6 +457,28 @@ def test_exit_code_size_guard(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_exit_code_number_past_float_range(tmp_path, capsys):
+    # a 400-digit integer overflows float(): a validation error, not a traceback
+    big = tmp_path / "big.json"
+    doc = json.loads(serialize_instance(random_instance(3, rng=0)))
+    doc["units"][0]["p_max"] = int("1" * 400)
+    big.write_text(json.dumps(doc))
+    assert main(["solve-classical", "--instance", str(big)]) == 2
+    assert "units[0]: p_max is too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-hybrid", "--iterations", "5"],
+    ["simulate", "--gamma", "0.2", "--beta", "0.1"],
+    ["bench-classical", "--sizes", "4", "--trials", "1"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "-1", *argv])
+    assert exc.value.code == 2
+    assert "--seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+
+
 @pytest.fixture
 def zero_fixed_cost_path(tmp_path):
     inst = random_instance(3, rng=5)

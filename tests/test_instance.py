@@ -71,6 +71,29 @@ def test_instance_load_must_be_a_number():
         assert load_instance(serialize_instance(inst)).load == 7.0
 
 
+def test_unit_spec_takes_numpy_numbers_as_floats():
+    u = UnitSpec(np.float32(1.0), np.int64(10), np.float64(2.5), 3, 0.5)
+    for name in ("p_min", "p_max", "a", "b", "c"):
+        assert type(getattr(u, name)) is float
+    assert (u.p_min, u.p_max, u.a, u.b) == (1.0, 10.0, 2.5, 3.0)
+    with pytest.raises(ValidationError, match="a must be a number"):
+        UnitSpec(p_min=0.0, p_max=10.0, a=np.bool_(True), b=1.0, c=1.0)
+
+
+def test_integers_past_float_range_are_rejected():
+    u = UnitSpec(p_min=0.0, p_max=10.0, a=1.0, b=1.0, c=1.0)
+    with pytest.raises(ValidationError, match="p_max is too large"):
+        UnitSpec(p_min=0.0, p_max=10**400, a=1.0, b=1.0, c=1.0)
+    with pytest.raises(ValidationError, match="load is too large"):
+        UcInstance(units=(u,), load=10**400)
+    doc = {"load": 5.0, "units": [{"p_min": 0, "p_max": int("1" * 400), "a": 0, "b": 0, "c": 0}]}
+    with pytest.raises(ValidationError, match=r"units\[0\]: p_max is too large"):
+        load_instance(json.dumps(doc))
+    # past the interpreter's digit limit json itself refuses the integer
+    with pytest.raises(ValidationError, match="malformed"):
+        load_instance('{"load": ' + "1" * 5000 + ', "units": []}')
+
+
 def test_instance_warns_when_load_exceeds_capacity():
     u = UnitSpec(p_min=0.0, p_max=10.0, a=1.0, b=1.0, c=1.0)
     with pytest.warns(UserWarning, match="exceeds total capacity"):
