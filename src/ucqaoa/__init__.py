@@ -38,15 +38,12 @@ from .hybrid import (
 )
 from .instance import (
     Commitment,
-    FeasibilityReport,
     UcInstance,
     UnitSpec,
     builtin_ten_unit,
-    check_feasible,
     load_instance,
     load_instance_file,
     serialize_instance,
-    total_cost,
 )
 from .metrics import (
     MetricSnapshot,

@@ -253,7 +253,10 @@ def cmd_bench_classical(args) -> int:
 
 def _load_distribution(path: str, n: int) -> np.ndarray:
     """The full distribution written by ``simulate --out``: one row per
-    bitstring, each probability finite and >= 0, summing to 1 within 1e-9."""
+    bitstring, each probability finite and >= 0, summing to 1 within 1e-9.
+    Only ``simulate`` writes one, so its size guard holds here too."""
+    if n > qaoa.QUBIT_GUARD:
+        raise SizeGuardError(f"distribution guard is n <= {qaoa.QUBIT_GUARD}, got {n}")
     probs = np.zeros(1 << n)
     seen = np.zeros(1 << n, dtype=bool)
     with open(path, newline="") as fh:

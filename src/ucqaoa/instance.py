@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -27,8 +27,6 @@ import numpy as np
 from .errors import ValidationError
 
 Commitment = tuple[int, ...]
-
-DEFAULT_FEASIBILITY_TOL = 1e-6  # relative; a check tolerance, far above dispatch rounding
 
 
 def _finite_float(value, name: str) -> float:
@@ -116,26 +114,6 @@ class UcInstance:
         return UcInstance(units=self.units, load=load, name=self.name)
 
 
-@dataclass(frozen=True)
-class LimitViolation:
-    """One box-constraint violation found by check_feasible."""
-
-    unit: int
-    kind: str  # "below_min" | "above_max" | "off_nonzero"
-    power: float
-    bound: float
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    load_met: bool
-    limit_violations: tuple[LimitViolation, ...] = field(default_factory=tuple)
-
-    @property
-    def feasible(self) -> bool:
-        return self.load_met and not self.limit_violations
-
-
 # ---------------------------------------------------------------------------
 # bit/index/string conversions (unit 0 = least significant bit)
 
@@ -167,7 +145,7 @@ def index_to_string(k: int, n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# cost and feasibility
+# input checks shared by the package
 
 def _check_lengths(inst: UcInstance, *vectors: Sequence) -> None:
     for v in vectors:
@@ -184,57 +162,6 @@ def _check_commitment(inst: UcInstance, commit: Sequence[int]) -> np.ndarray:
     if not binary.all():
         raise ValidationError(f"commitment entries must be 0 or 1, got {y[~binary].tolist()}")
     return y == 1
-
-
-def _check_powers(inst: UcInstance, powers: Sequence[float]) -> np.ndarray:
-    """Powers as a float array, checked to be length n and finite."""
-    _check_lengths(inst, powers)
-    p = np.asarray(powers, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(p))
-    if bad.size:
-        named = ", ".join(f"unit {i} has {p[i]}" for i in bad.tolist())
-        raise ValidationError(f"powers must be finite: {named}")
-    return p
-
-
-def total_cost(inst: UcInstance, commit: Sequence[int], powers: Sequence[float]) -> float:
-    """Physical cost of a commitment: OFF units contribute 0 (p forced to 0).
-    Every commitment entry must be 0 or 1 and every power finite."""
-    y = _check_commitment(inst, commit).astype(float)
-    a, b, c, _, _ = inst.coeff_arrays
-    p = _check_powers(inst, powers) * y
-    return float(np.sum(a * y + b * p + c * p * p))
-
-
-def check_feasible(
-    inst: UcInstance,
-    commit: Sequence[int],
-    powers: Sequence[float],
-    tol: float = DEFAULT_FEASIBILITY_TOL,
-) -> FeasibilityReport:
-    """Check load balance and per-unit limits at relative tolerance ``tol``.
-
-    The load is met iff |sum of ON powers - L| <= tol*L.  ON units must sit
-    inside [p_min, p_max]; OFF units must hold p = 0 (within tol*L).
-    Every commitment entry must be 0 or 1 and every power finite.
-    """
-    on = _check_commitment(inst, commit)
-    powers = _check_powers(inst, powers).tolist()
-    violations: list[LimitViolation] = []
-    on_total = 0.0
-    slack = tol * inst.load
-    for i, (u, y) in enumerate(zip(inst.units, on.tolist())):
-        p = powers[i]
-        if y:
-            on_total += p
-            if p < u.p_min - slack:
-                violations.append(LimitViolation(i, "below_min", p, u.p_min))
-            elif p > u.p_max + slack:
-                violations.append(LimitViolation(i, "above_max", p, u.p_max))
-        elif abs(p) > slack:
-            violations.append(LimitViolation(i, "off_nonzero", p, 0.0))
-    load_met = abs(on_total - inst.load) <= slack
-    return FeasibilityReport(load_met=load_met, limit_violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The constrained problem is rewritten with three squared penalty families:
 load balance, lower generation limit (slack s1), upper generation limit
 (slack s2); the b/c cost terms apply regardless of y, unlike the physical
-total_cost.  For a fixed continuous assignment (p, s1, s2) the objective
+cost convention of :mod:`ucqaoa.instance`, where OFF units contribute
+nothing.  For a fixed continuous assignment (p, s1, s2) the objective
 is quadratic in the binary ON/OFF variables (using y**2 == y), which
 gives the QUBO whose diagonal cost table drives the QAOA circuit.
 

@@ -2,6 +2,7 @@
 
 Each is the plain, unvectorised definition of a quantity the package
 computes another way, so the tests can check the fast paths against it:
+the physical cost unit by unit and a feasibility check of a dispatch,
 the penalized objective term by term, the paper's matrix QUBO (each
 squared penalty expanded into a constant, a linear vector and a dense
 strictly upper-triangular coupling matrix) with its cost table doubled
@@ -19,7 +20,14 @@ import numpy as np
 from ucqaoa.baseline import OFF, ON, UNDECIDED
 from ucqaoa.dispatch import INFEASIBLE_COST, DispatchSolution, _dispatch_rows
 from ucqaoa.errors import SizeGuardError, ValidationError
-from ucqaoa.instance import Commitment, UcInstance, UnitSpec, _check_lengths, index_to_bits
+from ucqaoa.instance import (
+    Commitment,
+    UcInstance,
+    UnitSpec,
+    _check_commitment,
+    _check_lengths,
+    index_to_bits,
+)
 from ucqaoa.qaoa import QUBIT_GUARD, _qubit_count
 from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights
 
@@ -34,6 +42,82 @@ def hamming(a: Union[str, Sequence[int]], b: Union[str, Sequence[int]]) -> int:
 def unit_cost(u: UnitSpec, y: int, p: float) -> float:
     """a*y + b*p + c*p**2, evaluated literally (b/c terms ignore y)."""
     return u.a * y + u.b * p + u.c * p * p
+
+
+# ---------------------------------------------------------------------------
+# physical cost and feasibility of a dispatch
+
+DEFAULT_FEASIBILITY_TOL = 1e-6  # relative; a check tolerance, far above dispatch rounding
+
+
+@dataclass(frozen=True)
+class LimitViolation:
+    """One box-constraint violation found by check_feasible."""
+
+    unit: int
+    kind: str  # "below_min" | "above_max" | "off_nonzero"
+    power: float
+    bound: float
+
+
+@dataclass(frozen=True)
+class FeasibilityReport:
+    load_met: bool
+    limit_violations: tuple[LimitViolation, ...]
+
+    @property
+    def feasible(self) -> bool:
+        return self.load_met and not self.limit_violations
+
+
+def _check_powers(inst: UcInstance, powers: Sequence[float]) -> list[float]:
+    """Powers as floats, checked to be length n and finite."""
+    _check_lengths(inst, powers)
+    p = np.asarray(powers, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(p))
+    if bad.size:
+        named = ", ".join(f"unit {i} has {p[i]}" for i in bad.tolist())
+        raise ValidationError(f"powers must be finite: {named}")
+    return p.tolist()
+
+
+def total_cost(inst: UcInstance, commit: Sequence[int], powers: Sequence[float]) -> float:
+    """Physical cost of a commitment: the sum of unit_cost over the units,
+    with p forced to 0 on OFF units, so they contribute nothing.  Every
+    commitment entry must be 0 or 1 and every power finite."""
+    on = _check_commitment(inst, commit).tolist()
+    powers = _check_powers(inst, powers)
+    return sum(unit_cost(u, int(y), p if y else 0.0) for u, y, p in zip(inst.units, on, powers))
+
+
+def check_feasible(
+    inst: UcInstance,
+    commit: Sequence[int],
+    powers: Sequence[float],
+    tol: float = DEFAULT_FEASIBILITY_TOL,
+) -> FeasibilityReport:
+    """Check load balance and per-unit limits at relative tolerance ``tol``.
+
+    The load is met iff |sum of ON powers - L| <= tol*L.  ON units must sit
+    inside [p_min, p_max]; OFF units must hold p = 0 (within tol*L).
+    Every commitment entry must be 0 or 1 and every power finite.
+    """
+    on = _check_commitment(inst, commit).tolist()
+    powers = _check_powers(inst, powers)
+    violations: list[LimitViolation] = []
+    on_total = 0.0
+    slack = tol * inst.load
+    for i, (u, y, p) in enumerate(zip(inst.units, on, powers)):
+        if y:
+            on_total += p
+            if p < u.p_min - slack:
+                violations.append(LimitViolation(i, "below_min", p, u.p_min))
+            elif p > u.p_max + slack:
+                violations.append(LimitViolation(i, "above_max", p, u.p_max))
+        elif abs(p) > slack:
+            violations.append(LimitViolation(i, "off_nonzero", p, 0.0))
+    load_met = abs(on_total - inst.load) <= slack
+    return FeasibilityReport(load_met=load_met, limit_violations=tuple(violations))
 
 
 def all_commitments(n: int) -> Iterator[Commitment]:
@@ -178,7 +262,7 @@ def penalized_objective(
       + lambda2 * sum((p - s1 - p_min*y)**2)
       + lambda3 * sum((p + s2 - p_max*y)**2)
 
-    Note b/c terms apply regardless of y, unlike the physical total_cost.
+    Note b/c terms apply regardless of y, unlike total_cost.
     """
     _check_lengths(inst, commit, ca.p)
     a, b, c, lo, hi = inst.coeff_arrays

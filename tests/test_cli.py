@@ -457,6 +457,18 @@ def test_exit_code_size_guard(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [21, 40])
+def test_exit_code_metrics_size_guard(n, tmp_path, capsys):
+    # the guard must hold before the 2**n distribution is allocated: at 40
+    # units that allocation raised MemoryError, which main does not catch
+    big = tmp_path / "big.json"
+    big.write_text(serialize_instance(random_instance(n, rng=1)))
+    dist = tmp_path / "dist.csv"
+    dist.write_text(f"bitstring,probability\n{'0' * n},1.0\n")
+    assert main(["metrics", "--instance", str(big), "--distribution", str(dist)]) == 4
+    assert capsys.readouterr().err == f"error: distribution guard is n <= 20, got {n}\n"
+
+
 def test_exit_code_number_past_float_range(tmp_path, capsys):
     # a 400-digit integer overflows float(): a validation error, not a traceback
     big = tmp_path / "big.json"

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import instances
-from oracles import all_commitments, bisection_dispatch_rows, dispatch_grid_oracle
+from oracles import all_commitments, bisection_dispatch_rows, check_feasible, dispatch_grid_oracle
 from ucqaoa.baseline import random_instance, solve_exact
 from ucqaoa.dispatch import (
     _SEARCH_ELEMENTS,
@@ -23,7 +23,6 @@ from ucqaoa.instance import (
     UnitSpec,
     bits_to_index,
     builtin_ten_unit,
-    check_feasible,
 )
 
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import instances, unit_specs
-from oracles import all_commitments, unit_cost
+from oracles import all_commitments, check_feasible, total_cost, unit_cost
 from ucqaoa.errors import ValidationError
 from ucqaoa.instance import (
     UcInstance,
@@ -15,13 +15,11 @@ from ucqaoa.instance import (
     bits_to_index,
     bits_to_string,
     builtin_ten_unit,
-    check_feasible,
     index_to_bits,
     index_to_string,
     load_instance,
     serialize_instance,
     string_to_bits,
-    total_cost,
 )
 
 

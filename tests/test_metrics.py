@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,30 @@ def test_export_unknown_format(tmp_path):
         export_history(_sample_records(), "yaml", str(tmp_path / "h.yaml"))
     with pytest.raises(ValidationError):
         load_history(str(tmp_path / "h.yaml"))
+
+
+_CSV_HEADER = "iter,objective,near_opt_prob,avg_hamming_top50,best_bitstring,elapsed_ms\n"
+_JSON_ROW = {"iter": 0, "objective": 12.5, "near_opt_prob": 0.125,
+             "avg_hamming_top50": 1.75, "best_bitstring": "0101", "elapsed_ms": 0.0}
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("h.csv", "iter,objective,avg_hamming_top50,best_bitstring,elapsed_ms\n0,12.5,1.75,0101,0.0\n",
+     "row 0 has no near_opt_prob"),
+    ("h.csv", _CSV_HEADER + "0,12.5,0.125,1.75,0101,0.0\n1.5,10.0,0.5,0.5,1100,3.5\n",
+     "row 1 iter: '1.5' is not of type int"),
+    ("h.json", json.dumps(_JSON_ROW), "expected a JSON array"),
+    ("h.json", json.dumps([_JSON_ROW, {"iter": 10}]), "row 1 has no objective"),
+    ("h.json", json.dumps([None]), "row 0 is not an object"),
+    ("h.json", json.dumps([{**_JSON_ROW, "iter": 1.5}]), "row 0 iter: 1.5 is not of type int"),
+], ids=["csv-missing-column", "csv-non-integer-iter", "json-object", "json-row-missing-fields",
+        "json-null-row", "json-fractional-iter"])
+def test_load_history_rejects_malformed_file(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=message) as exc:
+        load_history(str(path))
+    assert str(path) in str(exc.value)
 
 
 def test_export_byte_identical_reruns(tmp_path):
