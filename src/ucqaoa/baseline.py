@@ -9,7 +9,10 @@ splits a node into an ON and an OFF child, and both children are bounded
 together as the two rows of one dispatch solve.  A leaf is priced by the
 dispatch-and-cost solve that prices a commitment in the economic
 dispatch and the enumeration, so its bound is its commitment's dispatch
-cost exactly, and no leaf is dispatched twice.
+cost exactly, and no leaf is dispatched twice.  The first incumbent is
+the root relaxation rounded to a commitment, or all-ON when that is
+cheaper, so a search with a gap of a few percent usually stops at the
+root.
 Also hosts the random-instance generator and the runtime-scaling
 benchmark behind `bench-classical`.
 """
@@ -26,8 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dispatch import (INFEASIBLE_COST, DispatchSolution, _dispatch_costs, _dispatch_rows,
-                       economic_dispatch)
+from .dispatch import (INFEASIBLE_COST, MAX_FLOAT, DispatchSolution, _dispatch_costs,
+                       _dispatch_rows, economic_dispatch)
 from .errors import InfeasibleError, ValidationError
 from .instance import Commitment, UcInstance, UnitSpec
 
@@ -67,43 +70,56 @@ def node_lower_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
             f"node states must be {UNDECIDED} (undecided), {OFF} (OFF) or {ON} (ON), "
             f"got {states[~known].tolist()}"
         )
-    return float(_node_bounds(inst, states[None])[0])
+    return float(_node_bounds(inst, _envelope(inst), states[None])[0][0])
 
 
-def _node_bounds(inst: UcInstance, states: np.ndarray) -> np.ndarray:
-    """`node_lower_bound` of every row of a ``(k, n)`` state array.
+def _envelope(inst: UcInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(knee, mean, tail price) of each unit's convex envelope, built once
+    per solve: p* = clip(sqrt(a/c), p_min, p_max), where the mean cost
+    f(p)/p is least (p_max for a linear unit), the mean cost f(p*)/p*, and
+    the marginal cost b + 2c*p* at which the tail above p* starts."""
+    a, b, c, lo, hi = inst.coeff_arrays
+    # a/c past the largest float is inf, so p* = p_max; a/p* past it is
+    # capped there, not inf
+    with np.errstate(over="ignore"):
+        ratio = np.divide(a, c, out=np.full(inst.n, math.inf), where=c > 0)
+        knee = np.minimum(np.maximum(np.sqrt(ratio), lo), hi)
+        mean = np.minimum(np.divide(a, knee, out=np.zeros(inst.n), where=knee > 0) + b + c * knee,
+                          MAX_FLOAT)
+    return knee, mean, b + 2.0 * c * knee
+
+
+def _node_bounds(inst: UcInstance, envelope: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`node_lower_bound` of every row of a ``(k, n)`` state array, and the
+    ``(k, n)`` unit powers of each row's relaxed dispatch.
 
     An undecided unit's cost, 0 at p = 0 and a + b*p + c*p**2 on
-    [p_min, p_max], is replaced by its convex envelope: the chord from the
-    origin to p* = clip(sqrt(a/c), p_min, p_max), where the mean cost
-    f(p)/p is least, then f itself up to p_max.  Its marginal cost never
-    falls, so the dispatch kernel prices it as two virtual units, a c = 0
-    unit at f(p*)/p* on [0, p*] and a tail with marginal b + 2c*p* + 2c*q
-    on [0, p_max - p*].  Decided units keep their boxes and a [0, 0] tail.
+    [p_min, p_max], is replaced by its convex envelope (`_envelope`): the
+    chord from the origin to p*, then f itself up to p_max.  Its marginal
+    cost never falls, so the dispatch kernel prices it as two virtual
+    units, a c = 0 unit at f(p*)/p* on [0, p*] and a tail with marginal
+    b + 2c*p* + 2c*q on [0, p_max - p*], and its power is the sum of the
+    two.  Decided units keep their boxes and a [0, 0] tail.
     The chord lies below f, so the relaxed dispatch bounds every
     completion in exact arithmetic.  The 2n-column solve rounds apart from
     a leaf's n-column one, so a bound with undecided units is scaled by
     (1 - 1e-12), well above that rounding and well below any search gap.
     Rows that are all commitments are priced by the economic dispatch's
-    own call; the two children of a node are both commitments or neither."""
+    own call; the two children of a node are both commitments or neither.
+    The powers of a row that cannot cover the load are meaningless."""
     on, off = states == ON, states == OFF
     free = ~(on | off)
     if not free.any():
-        return _dispatch_costs(inst, on)[0]
+        costs, _, p = _dispatch_costs(inst, on)
+        return costs, p
     a, b, c, lo, hi = inst.coeff_arrays
-    # a/c past the largest float is inf, so p* = p_max; a/p* past it is
-    # capped there, not inf
-    with np.errstate(over="ignore"):
-        # p*, where the mean cost f(p)/p is least; p_max for a linear unit
-        ratio = np.divide(a, c, out=np.full(inst.n, math.inf), where=c > 0)
-        knee = np.minimum(np.maximum(np.sqrt(ratio), lo), hi)
-        mean = np.minimum(np.divide(a, knee, out=np.zeros(inst.n), where=knee > 0) + b + c * knee,
-                          np.finfo(float).max)
+    knee, mean, tail_price = envelope
     zero = np.zeros(states.shape)
     box_lo, box_hi = np.where(on, lo, 0.0), np.where(off, 0.0, hi)
     # each unit's box (an undecided unit's chord), then each unit's tail
     startup = np.concatenate((np.where(on, a, 0.0), zero), axis=1)
-    price = np.concatenate((np.where(free, mean, b), zero + (b + 2.0 * c * knee)), axis=1)
+    price = np.concatenate((np.where(free, mean, b), zero + tail_price), axis=1)
     curve = np.concatenate((np.where(free, 0.0, c), zero + c), axis=1)
     col_lo = np.concatenate((box_lo, zero), axis=1)
     col_hi = np.concatenate((np.where(free, knee, box_hi), np.where(free, hi - knee, 0.0)), axis=1)
@@ -113,15 +129,20 @@ def _node_bounds(inst: UcInstance, states: np.ndarray) -> np.ndarray:
     # node called infeasible has no feasible completion
     feasible = (box_lo.sum(axis=1) <= inst.load) & (box_hi.sum(axis=1) >= inst.load)
     cost = (startup + price * p + curve * p * p).sum(axis=1)
-    return np.where(feasible, cost * (1.0 - 1e-12), INFEASIBLE_COST)
+    return np.where(feasible, cost * (1.0 - 1e-12), INFEASIBLE_COST), p[:, :inst.n] + p[:, inst.n:]
 
 
 def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
     """Best-first branch and bound, stopping once the incumbent is provably
     within `gap` of the optimum: incumbent <= (1 + gap) * lower bound.
 
-    The all-ON commitment is the first incumbent, so a search whose root
-    bound already proves it within `gap` stops with no node expanded.
+    The root's relaxed dispatch is rounded to a commitment, a unit ON when
+    its relaxed power is above 0.  That commitment and all-ON are priced
+    together, and the cheaper feasible one is the first incumbent, so a
+    search whose root bound already proves it within `gap` stops with no
+    node expanded.  Every bound stays admissible, so the optimal cost is
+    what the search finds whatever its first incumbent; among commitments
+    of exactly equal cost, which one is returned can depend on it.
 
     There is no size limit: memory is O(nodes * n), not O(2**n), and a
     random_instance draw of 400 units takes about n + 1 nodes.  The worst
@@ -132,21 +153,28 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
 
     start = time.perf_counter()
     hi = inst.coeff_arrays[4]
+    envelope = _envelope(inst)
 
-    # the all-ON commitment is the first incumbent when it covers the load
-    incumbent_cost = float(_node_bounds(inst, np.full((1, inst.n), ON))[0])
-    incumbent: Optional[Commitment] = (1,) * inst.n if incumbent_cost < math.inf else None
+    root = np.full(inst.n, UNDECIDED)
+    bounds, relaxed = _node_bounds(inst, envelope, root[None])
+    # the rounded root and all-ON, priced together; an infeasible row
+    # costs inf and is never the incumbent
+    candidates = np.array((relaxed[0] > 0.0, np.ones(inst.n, dtype=bool)))
+    costs = _dispatch_costs(inst, candidates)[0]
+    best = int(costs.argmin())
+    incumbent_cost = float(costs[best])
+    incumbent: Optional[Commitment] = (tuple(candidates[best].astype(int).tolist())
+                                       if incumbent_cost < math.inf else None)
 
     # the unit with the largest p_max is branched on first, lowest index
     # first among ties; every node at depth d has fixed order[:d] exactly
     order = sorted(range(inst.n), key=lambda i: (-hi[i], i))
-    root = np.full(inst.n, UNDECIDED)
     counter = itertools.count()
     # (bound, tie-break, depth, states), keyed on the node's own bound; a
     # leaf's is its commitment's dispatch cost.  Raising a key to the
     # parent's bound, which can round one ulp above a leaf, could pop the
     # dearer of two tied leaves first and stop there.
-    heap = [(node_lower_bound(inst, root), next(counter), 0, root)]
+    heap = [(float(bounds[0]), next(counter), 0, root)]
     nodes_expanded = 0
     final_lb = math.inf
 
@@ -163,7 +191,7 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
             continue
         children = np.array((fixed, fixed))
         children[:, order[depth]] = (ON, OFF)
-        for child, child_bound in zip(children, _node_bounds(inst, children).tolist()):
+        for child, child_bound in zip(children, _node_bounds(inst, envelope, children)[0].tolist()):
             if incumbent_cost <= (1.0 + gap) * child_bound:
                 continue
             heapq.heappush(heap, (child_bound, next(counter), depth + 1, child))

@@ -33,6 +33,8 @@ ENUMERATION_GUARD = 24
 
 INFEASIBLE_COST = math.inf  # in-memory sentinel; never serialized as a float
 
+MAX_FLOAT = float(np.finfo(float).max)  # where overflowing slopes and prices are capped
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class DispatchSolution:
@@ -135,8 +137,7 @@ def _dispatch_rows(
     rows, n = lo.shape
     lam_lo = b + 2.0 * c * lo
     lam_hi = b + 2.0 * c * hi
-    slope = np.minimum(np.divide(0.5, c, out=np.zeros(np.shape(c)), where=c > 0),
-                       np.finfo(float).max)
+    slope = np.minimum(np.divide(0.5, c, out=np.zeros(np.shape(c)), where=c > 0), MAX_FLOAT)
     # a probe axis between rows and units: each of these is (rows, 1, n)
     lo3, hi3, lam_lo3, lam_hi3, slope3 = (v[..., None, :] for v in (lo, hi, lam_lo, lam_hi, slope))
 

@@ -7,8 +7,9 @@ the penalized objective term by term, the paper's matrix QUBO (each
 squared penalty expanded into a constant, a linear vector and a dense
 strictly upper-triangular coupling matrix) with its cost table doubled
 pairwise over the bits, its Ising form applied gate by gate, the mixer
-applied qubit by qubit, a grid search over the dispatch and the
-dispatch's breakpoint found by plain bisection.
+applied qubit by qubit, the branch-and-bound bounds column by column,
+a grid search over the dispatch and the dispatch's breakpoint found by
+plain bisection.
 """
 
 import math
@@ -18,7 +19,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from ucqaoa.baseline import OFF, ON, UNDECIDED
-from ucqaoa.dispatch import INFEASIBLE_COST, DispatchSolution, _dispatch_rows
+from ucqaoa.dispatch import INFEASIBLE_COST, DispatchSolution, _dispatch_costs, _dispatch_rows
 from ucqaoa.errors import SizeGuardError, ValidationError
 from ucqaoa.instance import (
     Commitment,
@@ -166,6 +167,41 @@ def single_node_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
     startup, price, curve, col_lo, col_hi = np.array(heads + tails).T
     powers = _dispatch_rows(price[None], curve[None], col_lo[None], col_hi[None], inst.load)[0][0]
     return float((startup + price * powers + curve * powers * powers).sum()) * (1.0 - 1e-12)
+
+
+def node_bounds_columns(inst: UcInstance, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The branch-and-bound bounds of every row of a ``(k, n)`` state
+    array and each row's relaxed unit powers, with the unit envelopes
+    built inside the call.
+
+    The reference for `baseline._node_bounds`, which takes envelopes built
+    once per solve: its bounds and powers must match these bit for bit.
+    A unit's relaxed power is its chord column plus its tail column; fully
+    fixed rows are the economic dispatch's own rows and powers.
+    """
+    on, off = states == ON, states == OFF
+    free = ~(on | off)
+    if not free.any():
+        costs, _, powers = _dispatch_costs(inst, on)
+        return costs, powers
+    a, b, c, lo, hi = inst.coeff_arrays
+    with np.errstate(over="ignore"):
+        ratio = np.divide(a, c, out=np.full(inst.n, math.inf), where=c > 0)
+        knee = np.minimum(np.maximum(np.sqrt(ratio), lo), hi)
+        mean = np.minimum(np.divide(a, knee, out=np.zeros(inst.n), where=knee > 0) + b + c * knee,
+                          np.finfo(float).max)
+    zero = np.zeros(states.shape)
+    box_lo, box_hi = np.where(on, lo, 0.0), np.where(off, 0.0, hi)
+    startup = np.concatenate((np.where(on, a, 0.0), zero), axis=1)
+    price = np.concatenate((np.where(free, mean, b), zero + (b + 2.0 * c * knee)), axis=1)
+    curve = np.concatenate((np.where(free, 0.0, c), zero + c), axis=1)
+    col_lo = np.concatenate((box_lo, zero), axis=1)
+    col_hi = np.concatenate((np.where(free, knee, box_hi), np.where(free, hi - knee, 0.0)), axis=1)
+    p = _dispatch_rows(price, curve, col_lo, col_hi, inst.load)[0]
+    feasible = (box_lo.sum(axis=1) <= inst.load) & (box_hi.sum(axis=1) >= inst.load)
+    cost = (startup + price * p + curve * p * p).sum(axis=1)
+    return (np.where(feasible, cost * (1.0 - 1e-12), INFEASIBLE_COST),
+            p[:, :inst.n] + p[:, inst.n:])
 
 
 # ---------------------------------------------------------------------------

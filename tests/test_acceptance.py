@@ -336,8 +336,8 @@ def test_c08_classical_scaling_trend():
     increasing = all(exact_ms[a] < exact_ms[b]
                      for a, b in zip(sizes, sizes[1:]))
     # node counts are the same trend without the timer noise; they also
-    # carry the approx-versus-exact comparison, since on these draws both
-    # modes expand the same trees and their timings differ by noise alone
+    # carry the approx-versus-exact comparison, since a millisecond-scale
+    # approx search (it stops at the root on these draws) times mostly noise
     nodes_increasing = all(exact_nodes[a] < exact_nodes[b]
                            for a, b in zip(sizes, sizes[1:]))
     approx_not_more_nodes = all(approx_nodes[n] <= exact_nodes[n] for n in sizes)

@@ -6,12 +6,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import instances
-from oracles import all_commitments, single_node_bound
+from oracles import all_commitments, node_bounds_columns, single_node_bound
 from ucqaoa import baseline
 from ucqaoa.baseline import (
     OFF,
     ON,
     UNDECIDED,
+    _envelope,
     _node_bounds,
     node_lower_bound,
     random_instance,
@@ -135,7 +136,7 @@ def test_sibling_bounds_equal_single_node_bounds(point):
         children = np.array((parent, parent))
         children[:, branch] = (ON, OFF)
         expected = [single_node_bound(inst, child) for child in children]
-        assert _node_bounds(inst, children).tolist() == expected
+        assert _node_bounds(inst, _envelope(inst), children)[0].tolist() == expected
         assert [node_lower_bound(inst, tuple(child)) for child in children] == expected
 
 
@@ -199,6 +200,38 @@ def test_node_bound_never_exceeds_best_completion(point):
             solve_exact(inst)
 
 
+# a/c overflows for the subnormal curvature, so its envelope's knee is p_max
+_SUBNORMAL_CURVATURE = UcInstance(units=(UnitSpec(p_min=10.0, p_max=100.0, a=50.0, b=5.0, c=5e-324),
+                                         UnitSpec(p_min=0.0, p_max=100.0, a=10.0, b=8.0, c=0.01)),
+                                  load=120.0)
+
+
+@st.composite
+def _state_arrays(draw):
+    """An instance and a ``(k, n)`` array of node states, k up to 4."""
+    inst = draw(st.one_of(instances(max_units=10), instances(max_units=10, degenerate=True)))
+    k = draw(st.integers(1, 4))
+    states = draw(st.lists(st.sampled_from((ON, OFF, UNDECIDED)),
+                           min_size=k * inst.n, max_size=k * inst.n))
+    return inst, np.array(states).reshape(k, inst.n)
+
+
+@given(_state_arrays())
+@example((_SHORT, np.array([[UNDECIDED, UNDECIDED, OFF], [ON, ON, OFF]])))
+@example((_SHORT, np.array([[ON, OFF, ON], [OFF, OFF, ON]])))
+@example((_HUGE_STARTUP, np.array([[UNDECIDED, UNDECIDED], [ON, UNDECIDED]])))
+@example((_SUBNORMAL_CURVATURE, np.array([[UNDECIDED, UNDECIDED], [UNDECIDED, OFF]])))
+@settings(max_examples=100)
+def test_node_bounds_match_column_oracle(point):
+    # the envelope is built once per solve; bounds and relaxed powers must
+    # be the ones the per-call column construction gives, bit for bit
+    inst, states = point
+    bounds, powers = _node_bounds(inst, _envelope(inst), states)
+    want_bounds, want_powers = node_bounds_columns(inst, states)
+    assert bounds.tobytes() == want_bounds.tobytes()
+    assert powers.tobytes() == want_powers.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # exact solving
 
@@ -244,59 +277,63 @@ def test_solve_dispatches_only_the_incumbent(monkeypatch, gap):
 def test_ten_unit_node_count_frozen():
     # deterministic best-first search: a changed count means a changed search
     report = solve_exact(builtin_ten_unit(700.0))
-    assert report.nodes_expanded == 11
+    assert report.nodes_expanded == 10
 
 
 # solve_exact, then solve_approx(gap=0.08), on random_instance(10, rng=seed):
 # (seed, exact commitment, cost, nodes, approx commitment, cost, nodes)
 _PINNED_SEARCHES = [
-    (0, "0100110001", 37211.799857255435, 11, "0100110001", 37211.799857255435, 11),
-    (1, "0100001110", 30603.43618646355, 11, "0100001110", 30603.43618646355, 11),
-    (2, "1000110001", 28270.761485378076, 11, "1000110001", 28270.761485378076, 11),
-    (3, "1110001011", 28617.993800830634, 11, "1110001011", 28617.993800830634, 11),
-    (4, "1000101011", 38205.927304027595, 11, "1000101011", 38205.927304027595, 11),
-    (5, "0111010001", 29106.801058931913, 11, "0111010001", 29106.801058931913, 11),
-    (6, "1110100101", 35428.43923131968, 11, "1110100101", 35428.43923131968, 11),
-    (7, "0011010101", 31685.32742204697, 11, "0011010101", 31685.32742204697, 11),
-    (8, "0101100001", 28050.152827793667, 11, "0101100001", 28050.152827793667, 11),
-    (9, "1000111001", 36543.5492865334, 11, "1000111001", 36543.5492865334, 11),
-    (10, "1000111100", 32951.999266580606, 11, "1000111100", 32951.999266580606, 11),
-    (11, "0110010001", 24590.367097099992, 11, "0110010001", 24590.367097099992, 11),
-    (12, "0000101011", 28138.774986859185, 11, "0000101011", 28138.774986859185, 11),
-    (13, "1100010010", 36971.31636574927, 11, "1100010010", 36971.31636574927, 11),
-    (14, "0001011101", 45664.815079901186, 11, "1111111111", 48651.153073559486, 0),
-    (15, "1010001110", 29343.597078277122, 11, "1010001110", 29343.597078277122, 11),
-    (16, "1110100001", 32549.64415322968, 13, "1110100001", 32549.64415322968, 13),
-    (17, "1011000100", 28864.3411489949, 17, "1011000100", 28864.3411489949, 17),
-    (18, "1010100110", 30440.88828158785, 11, "1010100110", 30440.88828158785, 11),
-    (19, "1110001001", 33903.793969011975, 13, "1110001001", 33903.793969011975, 13),
-    (20, "1100000101", 24642.847839660215, 11, "1100000101", 24642.847839660215, 11),
-    (21, "0101011101", 36148.65822490179, 11, "0101011101", 36148.65822490179, 11),
-    (22, "0110001101", 33057.04289286667, 11, "0110001101", 33057.04289286667, 11),
-    (23, "0000111101", 32703.515045323053, 11, "0000111101", 32703.515045323053, 11),
-    (24, "0010101110", 32662.72406882346, 11, "0010101110", 32662.72406882346, 11),
-    (25, "1000001110", 21196.283882162355, 12, "1000001110", 21196.283882162355, 12),
-    (26, "1010100111", 33092.33529907977, 15, "1010100111", 33092.33529907977, 15),
-    (27, "1001011001", 29872.123056094948, 11, "1001011001", 29872.123056094948, 11),
-    (28, "1011110100", 42166.4849094933, 14, "1111111111", 45469.48341462268, 10),
-    (29, "0101001110", 19830.899729553727, 11, "0101001110", 19830.899729553727, 11),
+    (0, "0100110001", 37211.799857255435, 10, "0100110001", 37211.799857255435, 0),
+    (1, "0100001110", 30603.43618646355, 10, "0100001110", 30603.43618646355, 0),
+    (2, "1000110001", 28270.761485378076, 10, "1000110001", 28270.761485378076, 0),
+    (3, "1110001011", 28617.993800830634, 10, "1110001011", 28617.993800830634, 0),
+    (4, "1000101011", 38205.927304027595, 10, "1000101011", 38205.927304027595, 0),
+    (5, "0111010001", 29106.801058931913, 10, "0111010001", 29106.801058931913, 0),
+    (6, "1110100101", 35428.43923131968, 10, "1110100101", 35428.43923131968, 0),
+    (7, "0011010101", 31685.32742204697, 10, "0011010101", 31685.32742204697, 0),
+    (8, "0101100001", 28050.152827793667, 11, "0111100001", 28182.83896809823, 0),
+    (9, "1000111001", 36543.5492865334, 10, "1000111001", 36543.5492865334, 0),
+    (10, "1000111100", 32951.999266580606, 10, "1000111100", 32951.999266580606, 0),
+    (11, "0110010001", 24590.367097099992, 10, "0110010001", 24590.367097099992, 0),
+    (12, "0000101011", 28138.774986859185, 11, "0001101011", 28196.634778892443, 0),
+    (13, "1100010010", 36971.31636574927, 10, "1100010010", 36971.31636574927, 0),
+    (14, "0001011101", 45664.815079901186, 11, "0001011111", 45725.66706262535, 0),
+    (15, "1010001110", 29343.597078277122, 10, "1010001110", 29343.597078277122, 0),
+    (16, "1110100001", 32549.64415322968, 13, "1101100001", 32555.59902417428, 0),
+    (17, "1011000100", 28864.3411489949, 17, "1011001100", 29270.034738149712, 0),
+    (18, "1010100110", 30440.88828158785, 10, "1010100110", 30440.88828158785, 0),
+    (19, "1110001001", 33903.793969011975, 12, "1110001001", 33903.793969011975, 0),
+    (20, "1100000101", 24642.847839660215, 10, "1100000101", 24642.847839660215, 0),
+    (21, "0101011101", 36148.65822490179, 10, "0101011101", 36148.65822490179, 0),
+    (22, "0110001101", 33057.04289286667, 10, "0110001101", 33057.04289286667, 0),
+    (23, "0000111101", 32703.515045323053, 10, "0000111101", 32703.515045323053, 0),
+    (24, "0010101110", 32662.72406882346, 10, "0010101110", 32662.72406882346, 0),
+    (25, "1000001110", 21196.283882162355, 12, "1000011110", 21281.213924811076, 0),
+    (26, "1010100111", 33092.33529907977, 15, "1110100111", 33280.204265930035, 0),
+    (27, "1001011001", 29872.123056094948, 10, "1001011001", 29872.123056094948, 0),
+    (28, "1011110100", 42166.4849094933, 14, "1010110101", 42279.64310820018, 0),
+    (29, "0101001110", 19830.899729553727, 10, "0101001110", 19830.899729553727, 0),
 ]
 
 
 # Each case keeps the id it was first collected under, which carried the
 # node counts of the earlier bound that let undecided units generate for
-# free; the ids are fixed here, so re-pinning the node columns renames no case.
+# free, and the approx commitment and cost of the search that started from
+# all-ON: the exact ones, apart from two all-ON stops.  The ids are fixed
+# here, so re-pinning the node and approx columns renames no case.
 _FREE_BOX_NODES = {0: (71, 71), 1: (26, 26), 2: (41, 41), 3: (187, 187), 4: (45, 45),
                    5: (146, 146), 6: (195, 195), 7: (46, 46), 8: (37, 37), 9: (37, 37),
                    10: (48, 48), 11: (25, 25), 12: (33, 33), 13: (29, 29), 14: (136, 69),
                    15: (65, 65), 16: (49, 49), 17: (54, 54), 18: (50, 50), 19: (78, 78),
                    20: (30, 30), 21: (90, 90), 22: (80, 80), 23: (78, 78), 24: (19, 19),
                    25: (83, 83), 26: (264, 264), 27: (58, 58), 28: (116, 107), 29: (72, 72)}
+_ALL_ON_APPROX = {14: ("1111111111", 48651.153073559486), 28: ("1111111111", 45469.48341462268)}
 
 
 def _case_id(case):
-    seed, exact_bits, exact_cost, _, approx_bits, approx_cost, _ = case
+    seed, exact_bits, exact_cost = case[:3]
     exact_nodes, approx_nodes = _FREE_BOX_NODES[seed]
+    approx_bits, approx_cost = _ALL_ON_APPROX.get(seed, (exact_bits, exact_cost))
     return (f"{seed}-{exact_bits}-{exact_cost}-{exact_nodes}-"
             f"{approx_bits}-{approx_cost}-{approx_nodes}")
 
@@ -399,6 +436,38 @@ def test_approx_guarantee_randomized(seed):
     assert report.nodes_expanded <= solve_exact(inst).nodes_expanded
 
 
+@pytest.mark.parametrize("n", [100, 400])
+def test_approx_stops_early_at_scale(n):
+    # the rounded root relaxation is within the gap of the root bound, so
+    # the 8% search stops long before the exact one
+    inst = random_instance(n, rng=1)
+    exact, approx = solve_exact(inst), solve_approx(inst, 0.08)
+    assert approx.nodes_expanded < exact.nodes_expanded
+    assert exact.dispatch.cost <= approx.dispatch.cost <= 1.08 * exact.dispatch.cost
+    assert approx.proven_gap <= 0.08
+
+
+# two cheap 90-100 MW units and a dear 0-60 MW one against 150 MW: the root
+# relaxation runs the cheap units at 100 and 50, and both that rounding and
+# all-ON need 180 MW at least, so the search starts with no incumbent
+_INFEASIBLE_ROUNDING = UcInstance(units=(UnitSpec(p_min=90.0, p_max=100.0, a=100.0, b=10.0, c=0.001),
+                                         UnitSpec(p_min=90.0, p_max=100.0, a=100.0, b=11.0, c=0.001),
+                                         UnitSpec(p_min=0.0, p_max=60.0, a=100.0, b=50.0, c=0.01)),
+                                  load=150.0)
+
+
+def test_infeasible_rounding_is_never_the_incumbent():
+    inst = _INFEASIBLE_ROUNDING
+    relaxed = _node_bounds(inst, _envelope(inst), np.full((1, 3), UNDECIDED))[1][0]
+    assert relaxed.tolist() == pytest.approx([100.0, 50.0, 0.0])
+    assert not economic_dispatch(inst, (1, 1, 0)).feasible
+    best_bits, best = enumerate_all(inst)[0]
+    assert best_bits == (1, 0, 1)
+    for report in (solve_exact(inst), solve_approx(inst, 0.08)):
+        assert report.commitment == (1, 0, 1)
+        assert report.dispatch.cost == best.cost
+
+
 # two leaves one ulp apart under a parent whose relaxed bound rounds
 # above the cheaper one: the search must still return the cheaper leaf
 _TIED_LEAVES = UcInstance(
@@ -429,8 +498,10 @@ def test_exact_matches_enumeration_property(inst):
     assert report.dispatch.cost == best.cost
 
 
-@given(instances(min_units=2, max_units=7), st.floats(0.0, 0.5))
-@settings(max_examples=20, deadline=None)
+@given(st.one_of(instances(min_units=2, max_units=7),
+                 instances(min_units=2, max_units=7, degenerate=True)),
+       st.floats(0.0, 0.5))
+@settings(max_examples=40, deadline=None)
 def test_approx_guarantee_property(inst, gap):
     try:
         exact = solve_exact(inst)
@@ -441,6 +512,7 @@ def test_approx_guarantee_property(inst, gap):
     report = solve_approx(inst, gap)
     assert report.dispatch.cost <= (1 + gap) * exact.dispatch.cost * (1 + 1e-9)
     assert report.dispatch.feasible
+    assert report.proven_gap <= gap + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def test_solve_classical_builtin(capsys):
     assert float(printed["cost"]) == pytest.approx(13683.129729243481)
     assert printed["proven_gap"] == "0.0"
     assert printed["wall_time_s"] == "0.0"
-    assert int(printed["nodes_expanded"]) == 11
+    assert int(printed["nodes_expanded"]) == 10
     powers = [float(tok) for tok in printed["powers"].split(",")]
     assert len(powers) == 10
     assert sum(powers) == pytest.approx(700.0, rel=1e-6)
