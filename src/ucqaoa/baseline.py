@@ -9,10 +9,10 @@ splits a node into an ON and an OFF child, and both children are bounded
 together as the two rows of one dispatch solve.  A leaf is priced by the
 dispatch-and-cost solve that prices a commitment in the economic
 dispatch and the enumeration, so its bound is its commitment's dispatch
-cost exactly, and no leaf is dispatched twice.  The first incumbent is
-the root relaxation rounded to a commitment, or all-ON when that is
-cheaper, so a search with a gap of a few percent usually stops at the
-root.
+cost exactly.  The first incumbent is the root relaxation rounded to a
+commitment, or all-ON when that is cheaper, so a search with a gap of a
+few percent usually stops at the root.  The report's dispatch is the row
+that priced the incumbent, so no commitment is dispatched twice.
 Also hosts the random-instance generator and the runtime-scaling
 benchmark behind `bench-classical`.
 """
@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dispatch import (INFEASIBLE_COST, MAX_FLOAT, DispatchSolution, _dispatch_costs,
-                       _dispatch_rows, economic_dispatch)
+                       _dispatch_rows)
 from .errors import InfeasibleError, ValidationError
 from .instance import Commitment, UcInstance, UnitSpec
 
@@ -143,6 +143,10 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
     node expanded.  Every bound stays admissible, so the optimal cost is
     what the search finds whatever its first incumbent; among commitments
     of exactly equal cost, which one is returned can depend on it.
+    The report's dispatch is the incumbent's own row of the solve that
+    priced it, root pair or leaf, so the answer is not solved again; a
+    row's result does not depend on the rows beside it, so it is bit for
+    bit the economic dispatch of the commitment.
 
     There is no size limit: memory is O(nodes * n), not O(2**n), and a
     random_instance draw of 400 units takes about n + 1 nodes.  The worst
@@ -160,26 +164,28 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
     # the rounded root and all-ON, priced together; an infeasible row
     # costs inf and is never the incumbent
     candidates = np.array((relaxed[0] > 0.0, np.ones(inst.n, dtype=bool)))
-    costs = _dispatch_costs(inst, candidates)[0]
+    costs, _, powers = _dispatch_costs(inst, candidates)
     best = int(costs.argmin())
     incumbent_cost = float(costs[best])
     incumbent: Optional[Commitment] = (tuple(candidates[best].astype(int).tolist())
                                        if incumbent_cost < math.inf else None)
+    incumbent_powers = powers[best]
 
     # the unit with the largest p_max is branched on first, lowest index
     # first among ties; every node at depth d has fixed order[:d] exactly
     order = sorted(range(inst.n), key=lambda i: (-hi[i], i))
     counter = itertools.count()
-    # (bound, tie-break, depth, states), keyed on the node's own bound; a
-    # leaf's is its commitment's dispatch cost.  Raising a key to the
-    # parent's bound, which can round one ulp above a leaf, could pop the
-    # dearer of two tied leaves first and stop there.
-    heap = [(float(bounds[0]), next(counter), 0, root)]
+    # (bound, tie-break, depth, states, powers), keyed on the node's own
+    # bound; a leaf's is its commitment's dispatch cost, and its powers
+    # that dispatch.  Raising a key to the parent's bound, which can round
+    # one ulp above a leaf, could pop the dearer of two tied leaves first
+    # and stop there.
+    heap = [(float(bounds[0]), next(counter), 0, root, relaxed[0])]
     nodes_expanded = 0
     final_lb = math.inf
 
     while heap:
-        bound, _, depth, fixed = heapq.heappop(heap)
+        bound, _, depth, fixed, node_powers = heapq.heappop(heap)
         final_lb = bound
         if incumbent_cost <= (1.0 + gap) * bound:
             break
@@ -188,13 +194,15 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
             if bound < incumbent_cost:
                 incumbent_cost = bound
                 incumbent = tuple(int(s == ON) for s in fixed)
+                incumbent_powers = node_powers
             continue
         children = np.array((fixed, fixed))
         children[:, order[depth]] = (ON, OFF)
-        for child, child_bound in zip(children, _node_bounds(inst, envelope, children)[0].tolist()):
+        child_bounds, child_powers = _node_bounds(inst, envelope, children)
+        for child, child_bound, p in zip(children, child_bounds.tolist(), child_powers):
             if incumbent_cost <= (1.0 + gap) * child_bound:
                 continue
-            heapq.heappush(heap, (child_bound, next(counter), depth + 1, child))
+            heapq.heappush(heap, (child_bound, next(counter), depth + 1, child, p))
     else:
         final_lb = incumbent_cost  # tree exhausted: the incumbent is optimal
 
@@ -209,7 +217,9 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
         proven_gap = max(0.0, (incumbent_cost - final_lb) / incumbent_cost)
     return SolveReport(
         commitment=incumbent,
-        dispatch=economic_dispatch(inst, incumbent),
+        # a copy, so the report does not keep the row array alive
+        dispatch=DispatchSolution(powers=incumbent_powers.copy(), cost=incumbent_cost,
+                                  feasible=True),
         proven_gap=proven_gap,
         nodes_expanded=nodes_expanded,
         wall_time_s=time.perf_counter() - start,

@@ -23,6 +23,7 @@ change of algorithm.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -100,14 +101,17 @@ class HybridConfig:
     near_opt_fraction: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValidationError(f"depth must be >= 1, got {self.depth}")
-        if self.max_iterations < 1:
-            raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.metric_cadence < 1:
-            raise ValidationError(f"metric_cadence must be >= 1, got {self.metric_cadence}")
-        if self.shots < 0:
-            raise ValidationError(f"shots must be >= 0, got {self.shots}")
+        for name, least in (("depth", 1), ("max_iterations", 1), ("metric_cadence", 1),
+                            ("shots", 0), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                count = None if isinstance(value, bool) else operator.index(value)
+            except TypeError:  # 2.5, "3", None; numpy integers pass
+                count = None
+            if count is None:
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if count < least:
+                raise ValidationError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -154,10 +154,12 @@ def _check_lengths(inst: UcInstance, *vectors: Sequence) -> None:
 
 
 def _check_commitment(inst: UcInstance, commit: Sequence[int]) -> np.ndarray:
-    """The ON mask of a commitment whose length is n and whose every entry
-    is 0 or 1 (numpy integers and bools included)."""
-    _check_lengths(inst, commit)
+    """The ON mask of a one-dimensional commitment whose length is n and
+    whose every entry is 0 or 1 (numpy integers and bools included)."""
     y = np.asarray(commit)
+    if y.ndim != 1:
+        raise ValidationError(f"a commitment is a vector of 0 or 1 entries, got shape {y.shape}")
+    _check_lengths(inst, y)
     binary = (y == 0) | (y == 1)
     if not binary.all():
         raise ValidationError(f"commitment entries must be 0 or 1, got {y[~binary].tolist()}")

@@ -46,10 +46,13 @@ class PenaltyWeights:
         each weight is 10 * max fixed cost / L**2.
 
         Raises ValidationError when that is zero, as when every fixed cost
-        is 0: the penalties would vanish and the minimizer would settle on
-        the infeasible all-OFF commitment.
+        is 0 or L**2 overflows: the penalties would vanish and the
+        minimizer would settle on the infeasible all-OFF commitment.
         """
-        w = 10.0 * max(u.a for u in inst.units) / inst.load**2
+        try:
+            w = 10.0 * max(u.a for u in inst.units) / inst.load**2
+        except OverflowError:  # L**2 is past the largest float, so w rounds to 0
+            w = 0.0
         if w == 0.0:
             raise ValidationError(
                 "default penalty weights 10*max(a)/L**2 are 0 for this "

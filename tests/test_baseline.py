@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import instances
 from oracles import all_commitments, node_bounds_columns, single_node_bound
+import ucqaoa.dispatch
 from ucqaoa import baseline
 from ucqaoa.baseline import (
     OFF,
@@ -261,18 +262,41 @@ def test_report_keeps_no_instance_dict():
 
 @pytest.mark.parametrize("gap", [0.0, 0.08])
 def test_solve_dispatches_only_the_incumbent(monkeypatch, gap):
-    # leaves are priced by their own bound; only the final incumbent is
-    # dispatched again, to build the report
+    # the report takes the row that priced the incumbent: no commitment is
+    # dispatched a second time
     calls = []
-    dispatch = baseline.economic_dispatch
+    dispatch = ucqaoa.dispatch.economic_dispatch
 
     def counting(inst, commit):
         calls.append(tuple(commit))
         return dispatch(inst, commit)
 
-    monkeypatch.setattr(baseline, "economic_dispatch", counting)
+    monkeypatch.setattr(ucqaoa.dispatch, "economic_dispatch", counting)
+    assert not hasattr(baseline, "economic_dispatch")
+    solve_approx(random_instance(8, rng=3), gap)
+    assert calls == []
+
+
+@given(st.one_of(instances(min_units=1, max_units=7),
+                 instances(min_units=1, max_units=7, degenerate=True)),
+       st.sampled_from([0.0, 0.08]))
+@settings(max_examples=40, deadline=None)
+def test_report_dispatch_is_the_economic_dispatch_bit_for_bit(inst, gap):
+    # root pair or leaf, the incumbent's row is what a one-row solve gives
+    try:
+        report = solve_approx(inst, gap)
+    except InfeasibleError:
+        return
+    want = economic_dispatch(inst, report.commitment)
+    assert report.dispatch.powers.tobytes() == want.powers.tobytes()
+    assert report.dispatch.cost == want.cost
+    assert report.dispatch.feasible and want.feasible
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.08])
+def test_report_powers_own_their_memory(gap):
     report = solve_approx(random_instance(8, rng=3), gap)
-    assert calls == [report.commitment]
+    assert report.dispatch.powers.base is None and report.dispatch.powers.shape == (8,)
 
 def test_ten_unit_node_count_frozen():
     # deterministic best-first search: a changed count means a changed search

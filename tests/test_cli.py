@@ -17,6 +17,7 @@ from ucqaoa.dispatch import enumerate_all, near_optimal_set
 from ucqaoa.hybrid import HybridConfig, initial_theta
 from ucqaoa.instance import (
     UcInstance,
+    UnitSpec,
     bits_to_index,
     builtin_ten_unit,
     index_to_string,
@@ -513,6 +514,19 @@ def test_explicit_weights_run_without_default(zero_fixed_cost_path, capsys):
                "--lambda1", "1.0", "--lambda2", "1.0", "--lambda3", "1.0"])
     assert rc == 0
     assert "iterations=5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--gamma", "0.2", "--beta", "0.1"],
+    ["run-hybrid", "--iterations", "5"],
+], ids=["simulate", "run-hybrid"])
+def test_default_weights_at_overflowing_load_exit_two(tmp_path, capsys, argv):
+    # L**2 is past the largest float, so the default weights are 0
+    path = tmp_path / "huge_load.json"
+    path.write_text(serialize_instance(
+        UcInstance(units=(UnitSpec(0.0, 1e200, 1.0, 1.0, 0.0),), load=1e200)))
+    assert main(argv + ["--instance", str(path)]) == 2
+    assert "error: default penalty weights" in capsys.readouterr().err
 
 
 def test_builtin_token_matches_library(capsys):

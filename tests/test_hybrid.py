@@ -76,6 +76,21 @@ def test_config_validation():
         HybridConfig(shots=-1)
 
 
+@pytest.mark.parametrize("field", ["depth", "max_iterations", "metric_cadence", "shots", "seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None, -1],
+                         ids=["half", "float", "bool", "str", "none", "negative"])
+def test_config_rejects_non_integer_or_negative_counts(field, value):
+    # 2.5 as a cadence once wrote a record every 5 iterations, 3.5 shots
+    # divided a 3-shot histogram by 3.5
+    with pytest.raises(ValidationError, match=field):
+        HybridConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["depth", "max_iterations", "metric_cadence", "shots", "seed"])
+def test_config_accepts_numpy_integers(field):
+    assert getattr(HybridConfig(**{field: np.int64(2)}), field) == 2
+
+
 # ---------------------------------------------------------------------------
 # objective
 

@@ -68,6 +68,19 @@ def test_default_weights_reject_an_underflowing_weight():
         PenaltyWeights.default_for(inst)
 
 
+def test_default_weights_reject_an_overflowing_load_square():
+    # L**2 is past the largest float once L passes about 1.34e154
+    inst = UcInstance(units=(UnitSpec(0.0, 1e200, 1.0, 1.0, 0.0),), load=1e200)
+    with pytest.raises(ValidationError, match="explicit weights"):
+        PenaltyWeights.default_for(inst)
+
+
+@pytest.mark.parametrize("load", [1.0, 700.0, 1e100, 1.3e154])
+def test_default_weights_unchanged_where_finite(load):
+    inst = UcInstance(units=(UnitSpec(0.0, 2e154, 1000.0, 1.0, 0.0),), load=load)
+    assert PenaltyWeights.default_for(inst).lambda1 == 10.0 * 1000.0 / load**2
+
+
 def test_weights_reject_negative_or_non_finite():
     with pytest.raises(ValidationError):
         PenaltyWeights(-1.0, 0.0, 0.0)
