@@ -32,7 +32,7 @@ import numpy as np
 from .dispatch import (INFEASIBLE_COST, MAX_FLOAT, DispatchSolution, _dispatch_costs,
                        _dispatch_rows)
 from .errors import InfeasibleError, ValidationError
-from .instance import Commitment, UcInstance, UnitSpec
+from .instance import Commitment, UcInstance, UnitSpec, _check_vector, _count, _finite_float
 
 ON = 1
 OFF = 0
@@ -61,9 +61,7 @@ def node_lower_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
     sibling bound `solve_approx` uses, so a node is bounded identically
     alone and beside its sibling.  Every entry must be UNDECIDED, OFF or
     ON."""
-    states = np.asarray(fixed)
-    if states.size != inst.n:
-        raise ValidationError(f"partial assignment has {states.size} entries, expected {inst.n}")
+    states = _check_vector(inst, fixed, "node states")
     known = (states == UNDECIDED) | (states == OFF) | (states == ON)
     if not known.all():
         raise ValidationError(
@@ -152,8 +150,7 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
     random_instance draw of 400 units takes about n + 1 nodes.  The worst
     case is a fleet of identical units, whose C(n, k) permuted commitments
     tie exactly, so the tree is exponential whatever the bound."""
-    if not 0 <= gap < math.inf:  # rejects nan too
-        raise ValidationError(f"gap must be finite and >= 0, got {gap}")
+    gap = _finite_float(gap, "gap", 0)
 
     start = time.perf_counter()
     hi = inst.coeff_arrays[4]
@@ -237,8 +234,7 @@ def random_instance(n: int, rng=None) -> UcInstance:
     p_max ~ U[50, 500], p_min = U[0.1, 0.4] * p_max, a ~ U[300, 1100],
     b ~ U[15, 30], c ~ U[3e-4, 8e-3], load = half of total capacity.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = _count(n, "n", 1)
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     p_max = rng.uniform(50.0, 500.0, n)
     p_min = rng.uniform(0.1, 0.4, n) * p_max
@@ -264,8 +260,8 @@ def scaling_benchmark(
     counts are the noise-free measure of the search work; the timings are
     medians of each report's own wall_time_s.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    sizes = [_count(n, f"sizes[{i}]", 1) for i, n in enumerate(sizes)]
+    trials, gap = _count(trials, "trials", 1), _finite_float(gap, "gap", 0)
     rng = np.random.default_rng(seed)
     rows: list[tuple[int, str, float, float, float]] = []
     for n in sizes:

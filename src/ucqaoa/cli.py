@@ -16,7 +16,6 @@ import argparse
 import csv
 import dataclasses
 import logging
-import math
 import sys
 from typing import Optional, Sequence
 
@@ -32,6 +31,7 @@ from .errors import (
 from .instance import (
     UcInstance,
     _check_lengths,
+    _finite_float,
     bits_to_index,
     bits_to_string,
     builtin_ten_unit,
@@ -272,16 +272,13 @@ def _load_distribution(path: str, n: int) -> np.ndarray:
             k = bits_to_index(bits)
             if seen[k]:
                 raise ValidationError(f"{path}: bitstring {row['bitstring']!r} repeats")
-            try:
-                value = float(row["probability"])
+            try:  # float() refuses a missing or non-numeric cell
+                probs[k] = _finite_float(float(row["probability"]), "probability", 0)
             except (TypeError, ValueError):
-                value = math.nan
-            if not (math.isfinite(value) and value >= 0.0):
                 raise ValidationError(
                     f"{path}: probability {row['probability']!r} of {row['bitstring']!r} "
                     "is not a finite number >= 0"
-                )
-            probs[k] = value
+                ) from None
             seen[k] = True
     if not seen.all():
         raise ValidationError(f"{path}: has {int(seen.sum())} rows, expected {1 << n}")

@@ -26,8 +26,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, SizeGuardError, ValidationError
-from .instance import Commitment, UcInstance, _check_commitment, index_to_bits
+from .errors import InfeasibleError, SizeGuardError
+from .instance import Commitment, UcInstance, _check_commitment, _finite_float, index_to_bits
 
 ENUMERATION_GUARD = 24
 
@@ -247,8 +247,7 @@ def enumerate_all(inst: UcInstance) -> list[tuple[Commitment, DispatchSolution]]
 
 def near_optimal_set(inst: UcInstance, fraction: float = 0.05) -> NearOptimalSet:
     """All feasible commitments with cost <= (1 + fraction) * optimal cost."""
-    if not 0 <= fraction < math.inf:  # rejects nan too
-        raise ValidationError(f"fraction must be finite and >= 0, got {fraction}")
+    fraction = _finite_float(fraction, "fraction", 0)
     # each chunk's powers are dropped as it arrives: only 2**N costs are kept
     chunks = [chunk[:2] for chunk in _enumerate_chunks(inst)]
     costs, feasible = (np.concatenate(part) for part in zip(*chunks))

@@ -23,7 +23,6 @@ change of algorithm.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -34,7 +33,7 @@ from . import metrics as _metrics
 from . import qaoa
 from .dispatch import NearOptimalSet, near_optimal_set
 from .errors import SizeGuardError, ValidationError
-from .instance import UcInstance, index_to_string
+from .instance import UcInstance, _count, _finite_float, index_to_string
 from .neldermead import nelder_mead
 from .qubo import ContinuousAssignment, PenaltyWeights, _cost_table
 
@@ -103,15 +102,11 @@ class HybridConfig:
     def __post_init__(self) -> None:
         for name, least in (("depth", 1), ("max_iterations", 1), ("metric_cadence", 1),
                             ("shots", 0), ("seed", 0)):
-            value = getattr(self, name)
-            try:
-                count = None if isinstance(value, bool) else operator.index(value)
-            except TypeError:  # 2.5, "3", None; numpy integers pass
-                count = None
-            if count is None:
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            if count < least:
-                raise ValidationError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
+        object.__setattr__(self, "near_opt_fraction",
+                           _finite_float(self.near_opt_fraction, "near_opt_fraction", 0))
+        if not isinstance(self.weights, (PenaltyWeights, type(None))):
+            raise ValidationError(f"weights must be PenaltyWeights or None, got {self.weights!r}")
 
 
 @dataclass(frozen=True, slots=True)

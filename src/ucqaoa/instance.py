@@ -20,28 +20,13 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 
 Commitment = tuple[int, ...]
-
-
-def _finite_float(value, name: str) -> float:
-    """`value` as a finite Python float, so that it serializes as one.
-    numbers.Real admits numpy floats and ints; a bool is an int, not a
-    number here."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    try:
-        result = float(value)
-    except OverflowError:
-        raise ValidationError(f"{name} is too large for a float") from None
-    if not math.isfinite(result):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return result
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,16 +46,9 @@ class UnitSpec:
 
     def __post_init__(self) -> None:
         for name in ("p_min", "p_max", "a", "b", "c"):
-            object.__setattr__(self, name, _finite_float(getattr(self, name), name))
-        if self.p_min < 0:
-            raise ValidationError(f"p_min must be >= 0, got {self.p_min}")
+            object.__setattr__(self, name, _finite_float(getattr(self, name), name, 0))
         if self.p_min > self.p_max:
-            raise ValidationError(
-                f"p_min ({self.p_min}) exceeds p_max ({self.p_max})"
-            )
-        for name in ("a", "b", "c"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+            raise ValidationError(f"p_min ({self.p_min}) exceeds p_max ({self.p_max})")
 
 
 @dataclass(frozen=True)
@@ -147,19 +125,55 @@ def index_to_string(k: int, n: int) -> str:
 # ---------------------------------------------------------------------------
 # input checks shared by the package
 
+def _finite_float(value, name: str, least: Optional[float] = None) -> float:
+    """`value` as a finite Python float, so that it serializes as one, and
+    >= `least` when that is given.  numbers.Real admits numpy floats and
+    ints; a bool is an int, not a number here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        result = float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is too large for a float") from None
+    if not math.isfinite(result) or (least is not None and result < least):
+        floor = "" if least is None else f" and >= {least:g}"
+        raise ValidationError(f"{name} must be finite{floor}, got {value!r}")
+    return result
+
+
+def _count(value, name: str, least: int) -> int:
+    """`value` as a Python int >= `least`.  numbers.Integral admits numpy
+    integers and refuses 2.5, "3" and None; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _check_lengths(inst: UcInstance, *vectors: Sequence) -> None:
     for v in vectors:
         if len(v) != inst.n:
             raise ValidationError(f"expected length {inst.n}, got {len(v)}")
 
 
-def _check_commitment(inst: UcInstance, commit: Sequence[int]) -> np.ndarray:
-    """The ON mask of a one-dimensional commitment whose length is n and
-    whose every entry is 0 or 1 (numpy integers and bools included)."""
-    y = np.asarray(commit)
-    if y.ndim != 1:
-        raise ValidationError(f"a commitment is a vector of 0 or 1 entries, got shape {y.shape}")
+def _check_vector(inst: UcInstance, entries: Sequence, what: str) -> np.ndarray:
+    """`entries` as a one-dimensional array of length n; a nested or
+    ragged sequence is refused as `what`."""
+    try:
+        y = np.asarray(entries)
+    except ValueError:  # ragged, as [[1], [1, 1]]: numpy finds no shape
+        y = None
+    if y is None or y.ndim != 1:
+        raise ValidationError(f"{what} must be a vector of length {inst.n}, got {entries!r}")
     _check_lengths(inst, y)
+    return y
+
+
+def _check_commitment(inst: UcInstance, commit: Sequence[int]) -> np.ndarray:
+    """The ON mask of a length-n commitment whose every entry is 0 or 1
+    (numpy integers and bools included)."""
+    y = _check_vector(inst, commit, "a commitment of 0 or 1 entries")
     binary = (y == 0) | (y == 1)
     if not binary.all():
         raise ValidationError(f"commitment entries must be 0 or 1, got {y[~binary].tolist()}")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .dispatch import NearOptimalSet
 from .errors import ValidationError
+from .instance import _count
 
 # each history field and the type load_history reads it back as
 _HISTORY_TYPES = {"iter": int, "objective": float, "near_opt_prob": float,
@@ -40,8 +41,7 @@ def near_opt_probability(probs: np.ndarray, nos: NearOptimalSet) -> float:
 def top_k(probs: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k most probable basis states, descending probability,
     ties broken by ascending index.  Returns all indices when 2^N < k."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    k = _count(k, "k", 1)
     return np.argsort(-np.asarray(probs, dtype=float), kind="stable")[:k]
 
 

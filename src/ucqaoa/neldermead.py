@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NonFiniteObjectiveError, ValidationError
+from .instance import _count
 
 Callback = Callable[[int, np.ndarray, float], None]
 
@@ -53,8 +54,7 @@ def nelder_mead(
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size < 1:
         raise ValidationError("x0 must be a vector of dimension >= 1")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = _count(max_iter, "max_iter", 1)
     d = x0.size
     fevals = 0
 

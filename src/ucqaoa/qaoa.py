@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
+from .instance import _count
 
 QUBIT_GUARD = 20  # 2**20 amplitudes (16 MB) and cost-table entries (8 MB)
 
@@ -155,8 +156,7 @@ def sample(probs: np.ndarray, shots: int, seed=None) -> np.ndarray:
     ``seed`` may be an int or a numpy Generator (the latter draws from and
     advances the shared stream).
     """
-    if shots < 1:
-        raise ValidationError(f"shots must be >= 1, got {shots}")
+    shots = _count(shots, "shots", 1)
     rng = np.random.default_rng(seed)
     p = np.asarray(probs, dtype=float)
     return rng.multinomial(shots, p / p.sum())

@@ -16,13 +16,12 @@ doublings, one over lin and one over p, in 2n numpy calls.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .instance import UcInstance
+from .instance import UcInstance, _finite_float
 from .qaoa import QUBIT_GUARD
 
 
@@ -36,9 +35,7 @@ class PenaltyWeights:
 
     def __post_init__(self) -> None:
         for name in ("lambda1", "lambda2", "lambda3"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValidationError(f"{name} must be finite and >= 0, got {v}")
+            object.__setattr__(self, name, _finite_float(getattr(self, name), name, 0))
 
     @classmethod
     def default_for(cls, inst: UcInstance) -> "PenaltyWeights":

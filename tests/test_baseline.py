@@ -93,11 +93,12 @@ def test_bound_rejects_wrong_length():
         node_lower_bound(builtin_ten_unit(700.0), (ON,) * 3)
 
 
-@pytest.mark.parametrize("fixed", [(2,) * 10, (math.nan,) * 10, (0.5,) + (UNDECIDED,) * 9],
-                         ids=["two", "nan", "half"])
+@pytest.mark.parametrize("fixed", [(2,) * 10, (math.nan,) * 10, (0.5,) + (UNDECIDED,) * 9,
+                                   [[ON], [ON, ON]] + [UNDECIDED] * 8],
+                         ids=["two", "nan", "half", "ragged"])
 def test_bound_rejects_unknown_states(fixed):
-    # unchecked, each of these read as all-undecided and returned the
-    # root bound 11581.931
+    # unchecked, the first three read as all-undecided and returned the
+    # root bound 11581.931; the ragged list raised numpy's ValueError
     with pytest.raises(ValidationError, match="node states must be") as info:
         node_lower_bound(builtin_ten_unit(700.0), fixed)
     assert str(fixed[0]) in str(info.value)
@@ -610,3 +611,18 @@ def test_scaling_benchmark_measures_time_by_default():
 def test_scaling_benchmark_validation():
     with pytest.raises(ValidationError):
         scaling_benchmark([3], trials=0)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"sizes": [300], "trials": 1, "gap": -1}, "gap must be finite and >= 0"),
+    ({"sizes": [300, 0], "trials": 1}, r"sizes\[1\] must be >= 1"),
+    ({"sizes": [300], "trials": 2.5}, "trials must be an integer"),
+], ids=["gap", "size", "trials"])
+def test_scaling_benchmark_checks_arguments_before_solving(kwargs, message, monkeypatch):
+    # a bad gap once surfaced only after the 300-unit exact solve had run
+    def no_solve(inst, gap):
+        raise AssertionError("solved before the arguments were checked")
+
+    monkeypatch.setattr(baseline, "solve_approx", no_solve)
+    with pytest.raises(ValidationError, match=message):
+        scaling_benchmark(**kwargs)

@@ -437,6 +437,24 @@ def test_exit_code_nan_gap_or_fraction(argv, message, small_instance_path, tmp_p
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["bench-classical", "--sizes", "4", "--trials", "0"], "trials must be >= 1, got 0"),
+    (["bench-classical", "--sizes", "0", "--trials", "1"], "sizes[0] must be >= 1, got 0"),
+    (["simulate", "--gamma", "0.2", "--beta", "0.1", "--top", "0"], "k must be >= 1, got 0"),
+    (["metrics", "--k", "0"], "k must be >= 1, got 0"),
+], ids=["bench-classical-trials", "bench-classical-sizes", "simulate-top", "metrics-k"])
+def test_exit_code_count_below_one(argv, message, small_instance_path, tmp_path, capsys):
+    if argv[0] in ("simulate", "metrics"):
+        argv = [argv[0], "--instance", small_instance_path, *argv[1:]]
+    if argv[0] == "metrics":
+        dist = tmp_path / "dist.csv"
+        dist.write_text("bitstring,probability\n"
+                        + "".join(f"{b},{p}\n" for b, p in _uniform_rows(4)))
+        argv += ["--distribution", str(dist)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_exit_code_missing_file(capsys):
     assert main(["oracle", "--instance", "/nonexistent/x.json"]) == 2
     capsys.readouterr()

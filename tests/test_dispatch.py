@@ -192,7 +192,8 @@ def test_economic_dispatch_powers_own_their_memory():
     (0.5, 1) + (0,) * 8,
     [[1]] * 10,
     1,
-], ids=["minus-one", "two", "half", "nested", "scalar"])
+    [[1], [1, 1]] + [0] * 8,
+], ids=["minus-one", "two", "half", "nested", "scalar", "ragged"])
 def test_economic_dispatch_rejects_non_binary_commitment(commit):
     with pytest.raises(ValidationError, match="0 or 1"):
         economic_dispatch(builtin_ten_unit(700.0), commit)

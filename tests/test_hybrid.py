@@ -77,8 +77,8 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field", ["depth", "max_iterations", "metric_cadence", "shots", "seed"])
-@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None, -1],
-                         ids=["half", "float", "bool", "str", "none", "negative"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None, -1, math.nan],
+                         ids=["half", "float", "bool", "str", "none", "negative", "nan"])
 def test_config_rejects_non_integer_or_negative_counts(field, value):
     # 2.5 as a cadence once wrote a record every 5 iterations, 3.5 shots
     # divided a 3-shot histogram by 3.5
@@ -89,6 +89,14 @@ def test_config_rejects_non_integer_or_negative_counts(field, value):
 @pytest.mark.parametrize("field", ["depth", "max_iterations", "metric_cadence", "shots", "seed"])
 def test_config_accepts_numpy_integers(field):
     assert getattr(HybridConfig(**{field: np.int64(2)}), field) == 2
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), 1.0, "default"],
+                         ids=["tuple", "float", "str"])
+def test_config_rejects_weights_that_are_not_penalty_weights(weights):
+    # a tuple once constructed, then died in _cost_table on weights.lambda1
+    with pytest.raises(ValidationError, match="weights must be PenaltyWeights or None"):
+        HybridConfig(weights=weights)
 
 
 # ---------------------------------------------------------------------------
