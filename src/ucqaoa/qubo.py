@@ -79,7 +79,8 @@ class ContinuousAssignment:
 
 
 def _cost_table(
-    inst: UcInstance, w: PenaltyWeights, p: np.ndarray, s1: np.ndarray, s2: np.ndarray
+    inst: UcInstance, w: PenaltyWeights, p: np.ndarray, s1: np.ndarray, s2: np.ndarray,
+    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cost table over all 2**n bitstrings at fixed (p, s1, s2): entry k is
     the penalized objective of the commitment whose unit-i bit is bit i of
@@ -92,9 +93,11 @@ def _cost_table(
               + lambda3*sum(e**2)
       lin = a - 2*lambda1*L*p + lambda2*(p_min**2 - 2*d*p_min)
             + lambda3*(p_max**2 - 2*e*p_max)
-    Checks only the size guard, the simulator's: the table has one entry
-    per amplitude.  p, s1 and s2 must be finite, non-negative length-n
-    vectors, validated once by the caller.
+    The table is written to ``out`` and S_p to ``scratch``, real 2**n
+    arrays allocated when not given.  Checks only the size guard, the
+    simulator's: the table has one entry per amplitude.  p, s1 and s2 must
+    be finite, non-negative length-n vectors and the arrays 2**n long,
+    all validated once by the caller.
     """
     n = inst.n
     if n > QUBIT_GUARD:
@@ -107,8 +110,8 @@ def _cost_table(
              + w.lambda2 * float(d @ d) + w.lambda3 * float(e @ e))
     lin = (a - 2.0 * w.lambda1 * load * p + w.lambda2 * lo * (lo - 2.0 * d)
            + w.lambda3 * hi * (hi - 2.0 * e))
-    table = np.empty(1 << n)
-    s_p = np.empty(1 << n)
+    table = np.empty(1 << n) if out is None else out
+    s_p = np.empty(1 << n) if scratch is None else scratch
     table[0], s_p[0] = const, 0.0
     for m in range(n):
         h = 1 << m

@@ -7,7 +7,8 @@ the penalized objective term by term, the paper's matrix QUBO (each
 squared penalty expanded into a constant, a linear vector and a dense
 strictly upper-triangular coupling matrix) with its cost table doubled
 pairwise over the bits, its Ising form applied gate by gate, the mixer
-applied qubit by qubit, the branch-and-bound bounds column by column,
+applied qubit by qubit, the QAOA distribution with every step in a
+fresh array, the branch-and-bound bounds column by column,
 a grid search over the dispatch and the dispatch's breakpoint found by
 plain bisection.
 """
@@ -29,7 +30,7 @@ from ucqaoa.instance import (
     _check_lengths,
     index_to_bits,
 )
-from ucqaoa.qaoa import QUBIT_GUARD, _qubit_count
+from ucqaoa.qaoa import QUBIT_GUARD, _qubit_count, _rotation_block
 from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights
 
 
@@ -472,6 +473,33 @@ def butterfly_mixer(sv: np.ndarray, beta: float) -> np.ndarray:
         view[:, 0, :] = cos_b * a + msin_b * b
         view[:, 1, :] = msin_b * a + cos_b * b
     return out
+
+
+def reference_distribution(diag: np.ndarray, gamma: Sequence[float],
+                           beta: Sequence[float]) -> np.ndarray:
+    """The depth-P QAOA distribution with every step in a fresh array.
+
+    The same operations in the same order as the package's kernels, which
+    write into arrays they are handed: a uniform state, each cost phase
+    into a new array, the mixer's three block products each into a new
+    array, then |amplitude|**2.  The two must agree to the bit.
+    """
+    diag = np.asarray(diag, dtype=float)
+    n = _qubit_count(len(diag))
+    sv = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
+    a = n // 3
+    b = (n - a) // 2
+    c = n - a - b
+    for g, bt in zip(gamma, beta):
+        angle = -g * diag
+        phased = np.empty(len(sv), dtype=complex)
+        np.cos(angle, out=phased.real)
+        np.sin(angle, out=phased.imag)
+        phased *= sv
+        s = phased.reshape(-1, 1 << a) @ _rotation_block(a, bt)
+        s = _rotation_block(b, bt) @ s.reshape(1 << c, 1 << b, 1 << a)
+        sv = (_rotation_block(c, bt) @ s.reshape(1 << c, -1)).reshape(-1)
+    return np.abs(sv) ** 2
 
 
 # ---------------------------------------------------------------------------

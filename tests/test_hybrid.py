@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,15 @@ def test_objective_bounded_by_penalized_extremes(inst, data):
     assert min(values) - slop <= val <= max(values) + slop
 
 
+def test_phase_table_clears_a_reused_array_when_the_spread_underflows():
+    # centred entries of +-5e-311 square to 0, so the spread is 0 while the
+    # centred copy is not: the table must come back all zeros
+    diag = np.array([0.0, 1e-310])
+    out = np.full(2, 7.0)
+    assert _phase_table(diag, out=out, square=np.empty(2)) is out
+    assert out.tobytes() == np.zeros(2).tobytes()
+
+
 def test_phase_table_matches_mean_std_formula():
     rng = np.random.default_rng(5)
     for n in range(1, 17):
@@ -357,9 +367,79 @@ def test_pinned_trajectory_on_ten_unit(cfg, last_iter, objective_, near_opt, bit
     assert repr(hist.final_theta.pack().tolist()) == repr(theta)
 
 
-def test_each_vertex_is_simulated_once(monkeypatch):
+def test_evaluate_in_a_reused_workspace_matches_a_fresh_one():
+    inst = random_instance(5, rng=4)
+    w = PenaltyWeights.default_for(inst)
+    flat = UcInstance(units=tuple(UnitSpec(10.0, 100.0, 0.0, 5.0, 1e-3) for _ in range(5)),
+                      load=150.0)
+    zero = np.zeros(5)
+    steps = [
+        (inst, w, _theta(inst, [0.3, -0.2], [0.5, 0.1])),
+        # a = 0 everywhere, zero weights and p = 0: a zero-spread table
+        (flat, PenaltyWeights(0.0, 0.0, 0.0),
+         ThetaVector(gamma=[0.7, 0.4], beta=[0.2, 0.9], p=zero, s1=zero, s2=zero)),
+        (inst, w, _theta(inst, [1.1, 0.6], [-0.3, 0.8], seed=3)),
+        (inst, PenaltyWeights(0.0, 0.0, 0.0), _theta(inst, [0.2, 0.2], [0.2, 0.2], seed=5)),
+        (flat, PenaltyWeights(0.0, 0.0, 0.0),
+         ThetaVector(gamma=[2.0, -1.0], beta=[0.6, -0.4], p=zero, s1=zero, s2=zero)),
+    ]
+    ws = hybrid._Workspace(5)
+    ws.table.fill(np.nan)
+    ws.scratch.fill(np.nan)
+    ws.next.fill(np.nan)
+    for step, (instance, weights, theta) in enumerate(steps):
+        value, probs = hybrid._evaluate(instance, weights, theta, ws=ws)
+        assert (instance is flat) == (not ws.scratch.any()), step  # the zero phase table
+        fresh_value, fresh_probs = hybrid._evaluate(instance, weights, theta)
+        assert probs is ws.next
+        assert repr(value) == repr(fresh_value), step
+        assert probs.tobytes() == fresh_probs.tobytes(), step
+        ws.keep_next()
+
+
+def test_warm_evaluation_allocates_no_table():
+    n = 16
+    inst = random_instance(n, rng=1)
+    w = PenaltyWeights.default_for(inst)
+    theta = _theta(inst, [0.3, 0.5], [0.2, 0.4])
+    ws = hybrid._Workspace(n)
+    hybrid._evaluate(inst, w, theta, ws=ws)  # warm-up
+    tracemalloc.start()
+    try:
+        hybrid._evaluate(inst, w, theta, ws=ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (1 << n)  # less than one real table
+
+
+def test_final_distribution_survives_the_next_run():
     inst = random_instance(6, rng=17)
-    cfg = HybridConfig(depth=2, max_iterations=60, metric_cadence=7, seed=0)
+    cfg = HybridConfig(depth=2, max_iterations=80, metric_cadence=10, seed=0)
+    first = run_hybrid(inst, cfg)
+    kept = first.final_distribution.tobytes()
+    second = run_hybrid(inst, dataclasses.replace(cfg, seed=1))
+    assert first.final_distribution.tobytes() == kept
+    assert second.final_distribution is not first.final_distribution
+
+
+def test_each_vertex_is_simulated_once(monkeypatch):
+    _check_each_vertex_is_simulated_once(
+        monkeypatch, HybridConfig(depth=2, max_iterations=60, metric_cadence=7, seed=0))
+
+
+@pytest.mark.parametrize("cfg", [
+    HybridConfig(depth=1, max_iterations=60, metric_cadence=7, seed=0),
+    HybridConfig(depth=2, max_iterations=400, metric_cadence=7, seed=0),
+], ids=["p1-60", "p2-400"])
+def test_each_vertex_is_simulated_once_while_the_best_is_held(monkeypatch, cfg):
+    # the best vertex's distribution is held across many evaluations that
+    # write the workspace's other distribution array
+    _check_each_vertex_is_simulated_once(monkeypatch, cfg)
+
+
+def _check_each_vertex_is_simulated_once(monkeypatch, cfg):
+    inst = random_instance(6, rng=17)
     simulations = 0
     real_distribution = qaoa.qaoa_distribution
 
@@ -386,7 +466,7 @@ def test_each_vertex_is_simulated_once(monkeypatch):
 
     (result,) = results
     assert simulations == result.fevals
-    assert hist.records[-1].iter == 60
+    assert hist.records[-1].iter == cfg.max_iterations
     assert hist.records[-1].objective == result.fun
 
     w = PenaltyWeights.default_for(inst)

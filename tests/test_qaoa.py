@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Qubo, butterfly_mixer, gate_decomposed_phase, qubo_diagonal, qubo_to_ising
+from oracles import (
+    Qubo,
+    butterfly_mixer,
+    gate_decomposed_phase,
+    qubo_diagonal,
+    qubo_to_ising,
+    reference_distribution,
+)
 from ucqaoa.errors import SizeGuardError, ValidationError
 from ucqaoa.qaoa import (
     VariationalParams,
@@ -91,8 +98,27 @@ def test_phase_sign_convention():
 
 
 def test_phase_length_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="table size 8 != state size 4"):
         apply_cost_phase(uniform_state(2), np.zeros(8), 0.1)
+
+
+def _bad_out_calls():
+    sv, diag, vp = uniform_state(3), np.zeros(8), VariationalParams([0.1], [0.2])
+    return {
+        "phase-out": lambda: apply_cost_phase(sv, diag, 0.1, out=np.empty(4, complex)),
+        "phase-angle": lambda: apply_cost_phase(sv, diag, 0.1, angle=np.empty(16)),
+        "mixer-out": lambda: apply_mixer(sv, 0.2, out=np.empty(4, complex)),
+        "distribution-out": lambda: qaoa_distribution(diag, vp, out=np.empty(16)),
+        "distribution-states": lambda: qaoa_distribution(
+            diag, vp, states=(np.empty(8, complex), np.empty(4, complex))),
+    }
+
+
+@pytest.mark.parametrize("call", list(_bad_out_calls()))
+def test_wrong_sized_out_is_a_validation_error(call):
+    # checked at the boundary, before numpy could broadcast or raise its own error
+    with pytest.raises(ValidationError, match=r"size (4|16) != state size 8"):
+        _bad_out_calls()[call]()
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +239,29 @@ def test_distribution_normalized_deep_circuits(depth, data):
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+_REUSED = {}  # n -> (out, states), shared by every example of that n
+
+
+@given(st.integers(1, 12), st.integers(1, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_distribution_in_a_reused_workspace_is_the_reference_bit_for_bit(n, depth, data):
+    size = 1 << n
+    if data.draw(st.booleans(), label="constant"):
+        diag = np.full(size, data.draw(st.floats(-1e6, 1e6), label="value"))
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        diag = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-3, 6)
+    vp = VariationalParams(gamma=data.draw(st.lists(angles, min_size=depth, max_size=depth)),
+                           beta=data.draw(st.lists(angles, min_size=depth, max_size=depth)))
+    out, states = _REUSED.setdefault(
+        n, (np.empty(size), (np.empty(size, complex), np.empty(size, complex))))
+    probs = qaoa_distribution(diag, vp, out=out, states=states)
+    assert probs is out
+    expected = reference_distribution(diag, vp.gamma, vp.beta)
+    assert probs.tobytes() == expected.tobytes()
+    assert qaoa_distribution(diag, vp).tobytes() == expected.tobytes()
+
+
 def test_bad_table_size_rejected():
     vp = VariationalParams(gamma=[0.1], beta=[0.1])
     with pytest.raises(ValidationError):
@@ -248,7 +297,7 @@ def test_expectation_within_bounds(data):
 
 
 def test_expectation_length_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="distribution size 4 != table size 8"):
         expectation(np.full(4, 0.25), np.zeros(8))
 
 
