@@ -43,19 +43,17 @@ from .instance import (
     builtin_ten_unit,
     load_instance,
     load_instance_file,
-    serialize_instance,
 )
 from .metrics import (
     MetricSnapshot,
     avg_hamming_top_k,
     compute_snapshot,
     export_history,
-    load_history,
     near_opt_probability,
     top_k,
 )
 from .neldermead import NmResult, nelder_mead
-from .qaoa import VariationalParams, qaoa_distribution, sample, uniform_state
+from .qaoa import VariationalParams, qaoa_distribution, sample
 from .qubo import ContinuousAssignment, PenaltyWeights
 
 __version__ = "0.1.0"

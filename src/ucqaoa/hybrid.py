@@ -156,8 +156,7 @@ class _Workspace:
         self.best, self.next = self.next, self.best
 
 
-def _phase_table(diag: np.ndarray, out: np.ndarray | None = None,
-                 square: np.ndarray | None = None) -> np.ndarray:
+def _phase_table(diag: np.ndarray, out: np.ndarray, square: np.ndarray) -> np.ndarray:
     """Standardized copy of the cost table used for the phase separator.
 
     Dollar-scale costs would wrap e^(-i*gamma*cost) thousands of times at
@@ -167,12 +166,8 @@ def _phase_table(diag: np.ndarray, out: np.ndarray | None = None,
     spread alters nothing physical while keeping angles near O(1).
 
     The copy is written to ``out`` with ``square`` as scratch, real arrays
-    of diag's size allocated when not given.
+    of diag's size.
     """
-    if out is None:
-        out = np.empty_like(diag)
-    if square is None:
-        square = np.empty_like(diag)
     centred = np.subtract(diag, diag.mean(), out=out)
     # == diag.std(), bit for bit
     spread = np.sqrt(np.mean(np.multiply(centred, centred, out=square)))

@@ -181,7 +181,7 @@ def _check_commitment(inst: UcInstance, commit: Sequence[int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# instance document I/O (JSON; see README for the schema)
+# instance document reading (JSON; see README for the schema)
 
 _UNIT_KEYS = ("p_min", "p_max", "a", "b", "c")
 
@@ -225,18 +225,6 @@ def load_instance(text: str) -> UcInstance:
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
     return UcInstance(units=tuple(units), load=doc["load"], name=name)
-
-
-def serialize_instance(inst: UcInstance) -> str:
-    """Inverse of load_instance; floats round-trip bit-exactly via repr."""
-    doc = {
-        "name": inst.name,
-        "load": inst.load,
-        "units": [
-            {k: getattr(u, k) for k in _UNIT_KEYS} for u in inst.units
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def load_instance_file(path: str) -> UcInstance:

@@ -17,10 +17,8 @@ from .dispatch import NearOptimalSet
 from .errors import ValidationError
 from .instance import _count
 
-# each history field and the type load_history reads it back as
-_HISTORY_TYPES = {"iter": int, "objective": float, "near_opt_prob": float,
-                  "avg_hamming_top50": float, "best_bitstring": str, "elapsed_ms": float}
-HISTORY_FIELDS = tuple(_HISTORY_TYPES)
+HISTORY_FIELDS = ("iter", "objective", "near_opt_prob", "avg_hamming_top50",
+                  "best_bitstring", "elapsed_ms")
 
 
 def _check_dim(probs: np.ndarray, nos: NearOptimalSet) -> np.ndarray:
@@ -90,42 +88,3 @@ def export_history(history, format: str, path: str) -> None:
             fh.write("\n")
     else:
         raise ValidationError(f"unknown history format: {format!r}")
-
-
-def _history_row(path: str, i: int, row) -> dict:
-    """Row ``i`` of a history file with each field read back as its type;
-    a missing, null or unreadable field is a validation error naming it."""
-    if not isinstance(row, dict):
-        raise ValidationError(f"{path}: row {i} is not an object")
-    out = {}
-    for f, kind in _HISTORY_TYPES.items():
-        value = row.get(f)
-        if value is None:
-            raise ValidationError(f"{path}: row {i} has no {f}")
-        # a JSON true or 1.5 would convert silently, but export writes neither
-        bad = isinstance(value, bool) or (kind is int and isinstance(value, float))
-        try:
-            out[f] = kind(value)
-        except (TypeError, ValueError):
-            bad = True
-        if bad:
-            raise ValidationError(f"{path}: row {i} {f}: {value!r} is not of type {kind.__name__}")
-    return out
-
-
-def load_history(path: str) -> tuple[dict, ...]:
-    """Read a history file written by export_history (format by extension)."""
-    if path.endswith(".json"):
-        with open(path) as fh:
-            try:
-                rows = json.load(fh)
-            except ValueError as exc:
-                raise ValidationError(f"{path}: malformed JSON: {exc}") from exc
-        if not isinstance(rows, list):
-            raise ValidationError(f"{path}: expected a JSON array of rows")
-    elif path.endswith(".csv"):
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    else:
-        raise ValidationError(f"cannot infer history format from path: {path!r}")
-    return tuple(_history_row(path, i, row) for i, row in enumerate(rows))

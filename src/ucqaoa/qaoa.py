@@ -75,13 +75,6 @@ def _qubit_count(size: int) -> int:
     return n
 
 
-def uniform_state(n: int) -> np.ndarray:
-    """|+>^n: every amplitude 2**(-n/2)."""
-    if n < 1 or n > QUBIT_GUARD:
-        raise SizeGuardError(f"qubit count must be in [1, {QUBIT_GUARD}], got {n}")
-    return np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
-
-
 def _check_size(arr, size: int, what: str) -> None:
     if arr is not None and len(arr) != size:
         raise ValidationError(f"{what} size {len(arr)} != state size {size}")
@@ -185,7 +178,7 @@ def qaoa_distribution(diag: np.ndarray, vp: VariationalParams,
     for state in states:
         _check_size(state, size, "state")
     sv, spare = states
-    sv.fill(2.0 ** (-n / 2.0))  # uniform_state(n), in place
+    sv.fill(2.0 ** (-n / 2.0))  # |+>^n, in place
     for gamma, beta in zip(vp.gamma, vp.beta):
         apply_cost_phase(sv, diag, gamma, out=spare, angle=out)
         apply_mixer(spare, beta, out=sv)

@@ -7,14 +7,16 @@ the penalized objective term by term, the paper's matrix QUBO (each
 squared penalty expanded into a constant, a linear vector and a dense
 strictly upper-triangular coupling matrix) with its cost table doubled
 pairwise over the bits, its Ising form applied gate by gate, the mixer
-applied qubit by qubit, the QAOA distribution with every step in a
-fresh array, the branch-and-bound bounds column by column,
-a grid search over the dispatch and the dispatch's breakpoint found by
-plain bisection.
+applied qubit by qubit on the uniform state, the QAOA distribution with
+every step in a fresh array, the branch-and-bound bounds column by
+column, a grid search over the dispatch, the dispatch's breakpoint by
+plain bisection, and the inverses of the CLI's instance and history I/O.
 """
 
+import csv
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -455,6 +457,13 @@ def gate_decomposed_phase(sv: np.ndarray, ising: IsingModel, gamma: float) -> np
     return out
 
 
+def uniform_state(n: int) -> np.ndarray:
+    """|+>^n: every amplitude 2**(-n/2)."""
+    if n < 1 or n > QUBIT_GUARD:
+        raise SizeGuardError(f"qubit count must be in [1, {QUBIT_GUARD}], got {n}")
+    return np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
+
+
 def butterfly_mixer(sv: np.ndarray, beta: float) -> np.ndarray:
     """exp(-1j * beta * X) applied qubit by qubit.
 
@@ -486,7 +495,7 @@ def reference_distribution(diag: np.ndarray, gamma: Sequence[float],
     """
     diag = np.asarray(diag, dtype=float)
     n = _qubit_count(len(diag))
-    sv = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
+    sv = uniform_state(n)
     a = n // 3
     b = (n - a) // 2
     c = n - a - b
@@ -592,3 +601,55 @@ def dispatch_grid_oracle(
             best_cost = float(costs[k])
             best = np.array([p_i, p_j[k], p_m[k]])
     return result(best)
+
+
+# ---------------------------------------------------------------------------
+# the inverses of the CLI's file I/O: an instance writer, a history reader
+
+def serialize_instance(inst: UcInstance) -> str:
+    """Inverse of load_instance; floats round-trip bit-exactly via repr."""
+    units = [asdict(u) for u in inst.units]
+    return json.dumps({"name": inst.name, "load": inst.load, "units": units}, indent=2) + "\n"
+
+
+_HISTORY_TYPES = {"iter": int, "objective": float, "near_opt_prob": float,
+                  "avg_hamming_top50": float, "best_bitstring": str, "elapsed_ms": float}
+
+
+def _history_row(path: str, i: int, row) -> dict:
+    """Row ``i`` of a history file with each field read back as its type;
+    a missing, null or unreadable field is a validation error naming it."""
+    if not isinstance(row, dict):
+        raise ValidationError(f"{path}: row {i} is not an object")
+    out = {}
+    for f, kind in _HISTORY_TYPES.items():
+        value = row.get(f)
+        if value is None:
+            raise ValidationError(f"{path}: row {i} has no {f}")
+        # a JSON true or 1.5 would convert silently, but export writes neither
+        bad = isinstance(value, bool) or (kind is int and isinstance(value, float))
+        try:
+            out[f] = kind(value)
+        except (TypeError, ValueError):
+            bad = True
+        if bad:
+            raise ValidationError(f"{path}: row {i} {f}: {value!r} is not of type {kind.__name__}")
+    return out
+
+
+def load_history(path: str) -> tuple[dict, ...]:
+    """Read a history file written by export_history (format by extension)."""
+    if path.endswith(".json"):
+        with open(path) as fh:
+            try:
+                rows = json.load(fh)
+            except ValueError as exc:
+                raise ValidationError(f"{path}: malformed JSON: {exc}") from exc
+        if not isinstance(rows, list):
+            raise ValidationError(f"{path}: expected a JSON array of rows")
+    elif path.endswith(".csv"):
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    else:
+        raise ValidationError(f"cannot infer history format from path: {path!r}")
+    return tuple(_history_row(path, i, row) for i, row in enumerate(rows))

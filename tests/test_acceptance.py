@@ -23,6 +23,8 @@ from oracles import (
     penalized_objective,
     qubo_diagonal,
     qubo_to_ising,
+    serialize_instance,
+    uniform_state,
 )
 from ucqaoa.baseline import (
     random_instance,
@@ -42,13 +44,11 @@ from ucqaoa.instance import (
     UnitSpec,
     builtin_ten_unit,
     index_to_bits,
-    serialize_instance,
 )
 from ucqaoa.qaoa import (
     VariationalParams,
     apply_cost_phase,
     qaoa_distribution,
-    uniform_state,
 )
 from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights, _cost_table
 

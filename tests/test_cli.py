@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import build_qubo, qubo_diagonal
+from oracles import build_qubo, qubo_diagonal, serialize_instance
 from ucqaoa.baseline import random_instance, scaling_benchmark
 from ucqaoa.cli import main
 from ucqaoa.dispatch import enumerate_all, near_optimal_set
@@ -21,7 +21,6 @@ from ucqaoa.instance import (
     bits_to_index,
     builtin_ten_unit,
     index_to_string,
-    serialize_instance,
     string_to_bits,
 )
 from ucqaoa.qaoa import VariationalParams, qaoa_distribution

@@ -197,8 +197,10 @@ def test_phase_table_matches_mean_std_formula():
     for n in range(1, 17):
         for scale in (1.0, 1e4):
             diag = scale * rng.standard_normal(1 << n) + rng.uniform(-1e5, 1e5)
-            assert np.array_equal(_phase_table(diag), (diag - diag.mean()) / diag.std())
-    assert np.array_equal(_phase_table(np.full(8, 3.5)), np.zeros(8))
+            assert np.array_equal(_phase_table(diag, np.empty_like(diag), np.empty_like(diag)),
+                                  (diag - diag.mean()) / diag.std())
+    flat = np.full(8, 3.5)
+    assert np.array_equal(_phase_table(flat, np.empty_like(flat), np.empty_like(flat)), np.zeros(8))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import instances, unit_specs
-from oracles import all_commitments, check_feasible, total_cost, unit_cost
+from oracles import all_commitments, check_feasible, serialize_instance, total_cost, unit_cost
 from ucqaoa.errors import ValidationError
 from ucqaoa.instance import (
     UcInstance,
@@ -18,7 +18,6 @@ from ucqaoa.instance import (
     index_to_bits,
     index_to_string,
     load_instance,
-    serialize_instance,
     string_to_bits,
 )
 

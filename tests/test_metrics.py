@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hamming
+from oracles import hamming, load_history
 from ucqaoa.dispatch import NearOptimalSet, near_optimal_set
 from ucqaoa.errors import ValidationError
 from ucqaoa.hybrid import HistoryRecord, HybridConfig, run_hybrid
@@ -15,7 +15,6 @@ from ucqaoa.metrics import (
     avg_hamming_top_k,
     compute_snapshot,
     export_history,
-    load_history,
     near_opt_probability,
     top_k,
 )

@@ -12,6 +12,7 @@ from oracles import (
     qubo_diagonal,
     qubo_to_ising,
     reference_distribution,
+    uniform_state,
 )
 from ucqaoa.errors import SizeGuardError, ValidationError
 from ucqaoa.qaoa import (
@@ -21,7 +22,6 @@ from ucqaoa.qaoa import (
     expectation,
     qaoa_distribution,
     sample,
-    uniform_state,
 )
 
 angles = st.floats(-2.0 * math.pi, 2.0 * math.pi)
