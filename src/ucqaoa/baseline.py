@@ -32,7 +32,7 @@ import numpy as np
 from .dispatch import (INFEASIBLE_COST, MAX_FLOAT, DispatchSolution, _dispatch_costs,
                        _dispatch_rows)
 from .errors import InfeasibleError, ValidationError
-from .instance import Commitment, UcInstance, UnitSpec, _check_vector, _count, _finite_float
+from .instance import Commitment, UcInstance, UnitSpec, _count, _finite_float, _finite_vector
 
 ON = 1
 OFF = 0
@@ -61,7 +61,7 @@ def node_lower_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
     sibling bound `solve_approx` uses, so a node is bounded identically
     alone and beside its sibling.  Every entry must be UNDECIDED, OFF or
     ON."""
-    states = _check_vector(inst, fixed, "node states")
+    states = _finite_vector(fixed, "node states", inst.n)
     known = (states == UNDECIDED) | (states == OFF) | (states == ON)
     if not known.all():
         raise ValidationError(

@@ -30,8 +30,8 @@ from .errors import (
 )
 from .instance import (
     UcInstance,
-    _check_lengths,
     _finite_float,
+    _finite_vector,
     bits_to_index,
     bits_to_string,
     builtin_ten_unit,
@@ -39,7 +39,7 @@ from .instance import (
     load_instance_file,
     string_to_bits,
 )
-from .qubo import ContinuousAssignment, PenaltyWeights, _cost_table
+from .qubo import PenaltyWeights, _cost_table
 
 log = logging.getLogger("ucqaoa")
 
@@ -138,12 +138,11 @@ def cmd_simulate(args) -> int:
     # HybridConfig validates the shot count as run-hybrid does
     cfg = hybrid.HybridConfig(depth=max(1, len(gamma)), seed=args.seed, shots=args.shots)
     theta0 = hybrid.initial_theta(inst, cfg)
-    p = np.array(_float_list(args.p)) if args.p else theta0.p
-    s1 = np.array(_float_list(args.s1)) if args.s1 else theta0.s1
-    s2 = np.array(_float_list(args.s2)) if args.s2 else theta0.s2
-    ca = ContinuousAssignment(p=p, s1=s1, s2=s2)
-    _check_lengths(inst, ca.p)
-    diag = _cost_table(inst, w, ca.p, ca.s1, ca.s2)
+    p, s1, s2 = (
+        _finite_vector(_float_list(text) if text else getattr(theta0, name), name, inst.n, 0)
+        for name, text in (("p", args.p), ("s1", args.s1), ("s2", args.s2))
+    )
+    diag = _cost_table(inst, w, p, s1, s2)
     probs = qaoa.qaoa_distribution(diag, qaoa.VariationalParams(gamma, beta))
     if args.shots > 0:
         rng = np.random.default_rng(args.seed)

@@ -18,8 +18,8 @@ distribution never reads an array that is being overwritten.  The public
 `objective` builds a fresh workspace per call and runs the same kernels.
 
 Inputs are validated at the boundary, not per proposal: the public
-`objective` checks its theta, `run_hybrid` starts from a finite point,
-and `nelder_mead` raises on any non-finite value it is handed back.  An
+`objective` checks its theta, `run_hybrid` the one `ThetaVector` it reuses
+for every proposal, and `nelder_mead` raises on any non-finite objective.  An
 evaluation builds the cost table straight from the rank-1 structure of
 the penalty (`qubo._cost_table`) and hands the circuit theta's own angle
 vectors.
@@ -43,14 +43,14 @@ from . import metrics as _metrics
 from . import qaoa
 from .dispatch import NearOptimalSet, near_optimal_set
 from .errors import SizeGuardError, ValidationError
-from .instance import UcInstance, _count, _finite_float, index_to_string
+from .instance import UcInstance, _count, _finite_float, _finite_vector, index_to_string
 from .neldermead import nelder_mead
 from .qubo import ContinuousAssignment, PenaltyWeights, _cost_table
 
 
 @dataclass(frozen=True, eq=False)
 class ThetaVector:
-    """Flat parameter layout: gamma (P), beta (P), p (N), s1 (N), s2 (N).
+    """Flat parameter layout, every entry finite: gamma (P), beta (P), p (N), s1 (N), s2 (N).
 
     The p/s components live on the whole real line inside the simplex
     search; the objective maps them through abs() (an even function, so
@@ -65,7 +65,7 @@ class ThetaVector:
 
     def __post_init__(self) -> None:
         for name in ("gamma", "beta", "p", "s1", "s2"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _finite_vector(getattr(self, name), name))
         if self.gamma.size != self.beta.size or self.gamma.size < 1:
             raise ValidationError("gamma and beta must have equal length P >= 1")
         if not (self.p.size == self.s1.size == self.s2.size):
@@ -272,10 +272,13 @@ def run_hybrid(
     # (strict <) is the one at simplex[0] whenever the callback fires.  It
     # stays in ws.best; each evaluation writes ws.next.
     best_value = np.inf
+    # one checked theta per run, over `proposal`: _finite_vector keeps a float64 view uncopied
+    proposal = x0.copy()
+    theta = ThetaVector.unpack(proposal, cfg.depth, inst.n)
 
     def fun(x: np.ndarray) -> float:
         nonlocal best_value
-        theta = ThetaVector.unpack(x, cfg.depth, inst.n)
+        proposal[:] = x
         value, _ = _evaluate(inst, w, theta, cfg.shots, rng, ws)
         if value < best_value:
             best_value = value

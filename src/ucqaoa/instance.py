@@ -151,29 +151,41 @@ def _count(value, name: str, least: int) -> int:
     return int(value)
 
 
-def _check_lengths(inst: UcInstance, *vectors: Sequence) -> None:
-    for v in vectors:
-        if len(v) != inst.n:
-            raise ValidationError(f"expected length {inst.n}, got {len(v)}")
-
-
-def _check_vector(inst: UcInstance, entries: Sequence, what: str) -> np.ndarray:
-    """`entries` as a one-dimensional array of length n; a nested or
-    ragged sequence is refused as `what`."""
+def _finite_vector(value, name: str, size: Optional[int] = None,
+                   least: Optional[float] = None) -> np.ndarray:
+    """`value` as a 1-D float array, `size` long and every entry finite and
+    >= `least` where those are given.  Bools and numpy numbers are numbers
+    here, as commitments need; a float64 vector, a view too, comes back as
+    itself.  Errors quote a few offending entries, not a 2**n-entry vector."""
     try:
-        y = np.asarray(entries)
+        arr = np.asarray(value)
     except ValueError:  # ragged, as [[1], [1, 1]]: numpy finds no shape
-        y = None
-    if y is None or y.ndim != 1:
-        raise ValidationError(f"{what} must be a vector of length {inst.n}, got {entries!r}")
-    _check_lengths(inst, y)
-    return y
+        arr = None
+    if arr is not None and arr.ndim != 1:
+        got = repr(value) if arr.ndim == 0 else f"shape {arr.shape}"
+        raise ValidationError(f"{name} must be a vector, got {got}")
+    if arr is not None and arr.dtype == object and all(isinstance(e, numbers.Real) for e in value):
+        arr = np.array([_finite_float(e, name) for e in value])  # an int past int64, a Fraction
+    if arr is None or arr.dtype.kind not in "biuf":  # ragged, or a str, complex or object entry
+        bad = [e for e in value if not isinstance(e, numbers.Real)] or list(value)
+        rule = "a vector of real numbers"
+    else:
+        arr = np.asarray(arr, dtype=float)
+        if size is not None and arr.size != size:
+            raise ValidationError(f"{name} has length {arr.size}, expected length {size}")
+        ok = np.isfinite(arr) if least is None else np.isfinite(arr) & (arr >= least)
+        bad = [] if ok.all() else arr[~ok].tolist()
+        rule = "finite" if least is None else f"finite and >= {least:g}"
+    if bad:
+        more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
+        raise ValidationError(f"{name} must be {rule}, got {bad[:5]!r}{more}")
+    return arr
 
 
 def _check_commitment(inst: UcInstance, commit: Sequence[int]) -> np.ndarray:
     """The ON mask of a length-n commitment whose every entry is 0 or 1
     (numpy integers and bools included)."""
-    y = _check_vector(inst, commit, "a commitment of 0 or 1 entries")
+    y = _finite_vector(commit, "commitment of 0 or 1 entries", inst.n)
     binary = (y == 0) | (y == 1)
     if not binary.all():
         raise ValidationError(f"commitment entries must be 0 or 1, got {y[~binary].tolist()}")

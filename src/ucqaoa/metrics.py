@@ -15,24 +15,15 @@ import numpy as np
 
 from .dispatch import NearOptimalSet
 from .errors import ValidationError
-from .instance import _count
+from .instance import _count, _finite_vector
 
 HISTORY_FIELDS = ("iter", "objective", "near_opt_prob", "avg_hamming_top50",
                   "best_bitstring", "elapsed_ms")
 
 
-def _check_dim(probs: np.ndarray, nos: NearOptimalSet) -> np.ndarray:
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or probs.size != 1 << nos.n:
-        raise ValidationError(
-            f"distribution has {probs.size} entries, expected {1 << nos.n}"
-        )
-    return probs
-
-
 def near_opt_probability(probs: np.ndarray, nos: NearOptimalSet) -> float:
     """Total probability mass on the near-optimal commitments."""
-    probs = _check_dim(probs, nos)
+    probs = _finite_vector(probs, "probs", 1 << nos.n, 0)
     return float(probs[nos.members].sum())
 
 
@@ -40,12 +31,12 @@ def top_k(probs: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k most probable basis states, descending probability,
     ties broken by ascending index.  Returns all indices when 2^N < k."""
     k = _count(k, "k", 1)
-    return np.argsort(-np.asarray(probs, dtype=float), kind="stable")[:k]
+    return np.argsort(-_finite_vector(probs, "probs", least=0), kind="stable")[:k]
 
 
 def avg_hamming_top_k(probs: np.ndarray, nos: NearOptimalSet, k: int = 50) -> float:
     """Mean over the top-k bitstrings of the distance to the closest member."""
-    probs = _check_dim(probs, nos)
+    probs = _finite_vector(probs, "probs", 1 << nos.n, 0)
     members = nos.members
     if members.size == 0:
         raise ValidationError("near-optimal set is empty")

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NonFiniteObjectiveError, ValidationError
-from .instance import _count
+from .instance import _count, _finite_vector
 
 Callback = Callable[[int, np.ndarray, float], None]
 
@@ -51,8 +51,8 @@ def nelder_mead(
     Raises NonFiniteObjectiveError if f returns NaN/inf at any vertex
     (typical causes: numerical overflow, penalty weights far too large).
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 or x0.size < 1:
+    x0 = _finite_vector(x0, "x0")
+    if x0.size < 1:
         raise ValidationError("x0 must be a vector of dimension >= 1")
     max_iter = _count(max_iter, "max_iter", 1)
     d = x0.size

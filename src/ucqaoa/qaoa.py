@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .instance import _count
+from .instance import _count, _finite_vector
 
 # 2**20 amplitudes (16 MB) and cost-table entries (8 MB); a hybrid run's
 # workspace of 2 complex and 4 real 2**n arrays is 64 MB there
@@ -52,14 +52,13 @@ class VariationalParams:
     beta: np.ndarray
 
     def __post_init__(self) -> None:
-        gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "beta", beta)
-        if gamma.shape != beta.shape or gamma.ndim != 1 or gamma.size < 1:
+        for name in ("gamma", "beta"):
+            angles = getattr(self, name)
+            # a scalar angle is a 1-vector (np.atleast_1d would fail on a ragged list)
+            angles = _finite_vector(angles if np.iterable(angles) else [angles], name)
+            object.__setattr__(self, name, angles)
+        if self.gamma.size != self.beta.size or self.gamma.size < 1:
             raise ValidationError("gamma and beta must be equal-length vectors, P >= 1")
-        if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(beta))):
-            raise ValidationError("angles must be finite")
 
     @property
     def depth(self) -> int:
@@ -201,5 +200,7 @@ def sample(probs: np.ndarray, shots: int, seed=None) -> np.ndarray:
     """
     shots = _count(shots, "shots", 1)
     rng = np.random.default_rng(seed)
-    p = np.asarray(probs, dtype=float)
+    p = _finite_vector(probs, "probs", least=0)
+    if not p.any():
+        raise ValidationError("probs has no mass to sample: every entry is 0")
     return rng.multinomial(shots, p / p.sum())

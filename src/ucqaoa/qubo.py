@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .instance import UcInstance, _finite_float
+from .instance import UcInstance, _finite_float, _finite_vector
 from .qaoa import QUBIT_GUARD
 
 
@@ -60,22 +60,16 @@ class PenaltyWeights:
 
 @dataclass(frozen=True, eq=False)
 class ContinuousAssignment:
-    """Fixed continuous part (p, s1, s2); all entries finite and >= 0."""
+    """Fixed continuous part (p, s1, s2) of equal lengths; all entries finite and >= 0."""
 
     p: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("p", "s1", "s2"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            if arr.ndim != 1:
-                raise ValidationError(f"{name} must be a 1-D vector")
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-                raise ValidationError(f"{name} entries must be finite and >= 0")
-        if not (len(self.p) == len(self.s1) == len(self.s2)):
-            raise ValidationError("p, s1, s2 must have equal lengths")
+        for name in ("p", "s1", "s2"):  # s1 and s2 are sized to p, checked first
+            size = None if name == "p" else self.p.size
+            object.__setattr__(self, name, _finite_vector(getattr(self, name), name, size, 0))
 
 
 def _cost_table(

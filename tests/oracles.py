@@ -29,11 +29,16 @@ from ucqaoa.instance import (
     UcInstance,
     UnitSpec,
     _check_commitment,
-    _check_lengths,
     index_to_bits,
 )
 from ucqaoa.qaoa import QUBIT_GUARD, _qubit_count, _rotation_block
 from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights
+
+
+def _check_lengths(inst: UcInstance, *vectors: Sequence) -> None:
+    for v in vectors:
+        if len(v) != inst.n:
+            raise ValidationError(f"expected length {inst.n}, got {len(v)}")
 
 
 def hamming(a: Union[str, Sequence[int]], b: Union[str, Sequence[int]]) -> int:

@@ -4,23 +4,33 @@ integers.  Each entry point below refuses a bool, a string, None, nan and
 a value under its floor (and, for a count, a non-integral float) with a
 ValidationError naming the argument, and takes numpy scalars as it takes
 Python numbers.  `HybridConfig`'s counts and the instance load have their
-own tables in test_hybrid.py and test_instance.py."""
+own tables in test_hybrid.py and test_instance.py.
 
+Every vector argument goes through a third, `instance._finite_vector`.
+Each argument in `_VECTORS` refuses a string, complex or ragged entry, a
+2-D array, nan and inf, and where it has them a negative entry and a wrong
+length, with a ValidationError that starts with the argument's name, and
+takes bools and numpy arrays.  A test walks the signatures of everything
+`ucqaoa` exports, so a vector argument missing from the table, and not
+exempted with its reason in `_UNCHECKED_VECTORS`, fails it."""
+
+import inspect
 import math
 import re
 
 import numpy as np
 import pytest
 
-from ucqaoa.baseline import random_instance, scaling_benchmark, solve_approx
-from ucqaoa.dispatch import near_optimal_set
+import ucqaoa
+from ucqaoa.baseline import node_lower_bound, random_instance, scaling_benchmark, solve_approx
+from ucqaoa.dispatch import economic_dispatch, near_optimal_set
 from ucqaoa.errors import ValidationError
-from ucqaoa.hybrid import HybridConfig
-from ucqaoa.instance import UnitSpec, builtin_ten_unit
-from ucqaoa.metrics import top_k
+from ucqaoa.hybrid import HybridConfig, ThetaVector
+from ucqaoa.instance import UnitSpec, _finite_vector, builtin_ten_unit
+from ucqaoa.metrics import avg_hamming_top_k, compute_snapshot, near_opt_probability, top_k
 from ucqaoa.neldermead import nelder_mead
-from ucqaoa.qaoa import sample
-from ucqaoa.qubo import PenaltyWeights
+from ucqaoa.qaoa import VariationalParams, sample
+from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights
 
 _UNIFORM = np.full(4, 0.25)
 
@@ -82,3 +92,160 @@ def test_checked_values_are_stored_as_python_numbers():
     inst = builtin_ten_unit(700.0)
     assert (near_optimal_set(inst, np.float64(0.05)).members.tolist()
             == near_optimal_set(inst, 0.05).members.tolist())
+
+
+_PAIR = random_instance(2, rng=0)
+_PAIR_NOS = near_optimal_set(_PAIR, 1.0)
+_THETA = dict(gamma=[0.1, 0.2], beta=[0.3, 0.4], p=[1.0, 2.0], s1=[1.0, 0.0], s2=[0.0, 1.0])
+_ANGLES = dict(gamma=[0.1, 0.2], beta=[0.3, 0.4])
+_CONTINUOUS = dict(p=[1.0, 2.0], s1=[0.0, 1.0], s2=[1.0, 0.0])
+
+
+def _with(make, base, name):
+    return lambda v: make(**{**base, name: v})
+
+
+# "callable.argument" -> (the name its errors start with, a call that
+# passes the value as that argument, a value it takes (two entries or
+# more), whether it has a floor of 0, whether its length is fixed).
+# Unchecked, a string entry gave a bare ValueError, a complex one a
+# TypeError and a ragged list numpy's "inhomogeneous shape" ValueError in
+# ThetaVector, VariationalParams, ContinuousAssignment, top_k, the metrics
+# and nelder_mead.
+_VECTORS = {
+    **{f"ThetaVector.{name}": (name, _with(ThetaVector, _THETA, name), _THETA[name], False, False)
+       for name in _THETA},
+    **{f"VariationalParams.{name}": (name, _with(VariationalParams, _ANGLES, name),
+                                     _ANGLES[name], False, False)
+       for name in _ANGLES},
+    "ContinuousAssignment.p": ("p", _with(ContinuousAssignment, _CONTINUOUS, "p"),
+                               _CONTINUOUS["p"], True, False),
+    **{f"ContinuousAssignment.{name}": (name, _with(ContinuousAssignment, _CONTINUOUS, name),
+                                        _CONTINUOUS[name], True, True)
+       for name in ("s1", "s2")},
+    # unchecked, an all-nan or all -1.0 distribution of the builtin set
+    # scored an average Hamming distance of 1.38 and a near-optimal
+    # probability of nan, and a (2, 512) one read "distribution has 1024
+    # entries, expected 1024"
+    "near_opt_probability.probs": (
+        "probs", lambda v: near_opt_probability(v, _PAIR_NOS), [0.25] * 4, True, True),
+    "avg_hamming_top_k.probs": (
+        "probs", lambda v: avg_hamming_top_k(v, _PAIR_NOS), [0.25] * 4, True, True),
+    "compute_snapshot.probs": (
+        "probs", lambda v: compute_snapshot(v, _PAIR_NOS), [0.25] * 4, True, True),
+    # unchecked, top_k(np.ones((2, 3)), 2) and sample(np.ones((2, 2)) / 4, 10, 0)
+    # returned 2-D results
+    "top_k.probs": ("probs", lambda v: top_k(v, 2), [0.25] * 4, True, False),
+    "sample.probs": ("probs", lambda v: sample(v, 10, 0), [0.25] * 4, True, False),
+    # unchecked, nelder_mead(lambda x: 1.0, [nan, 1.0], max_iter=3) returned x = [nan, 1.0]
+    "nelder_mead.x0": ("x0", lambda v: nelder_mead(lambda x: float(x @ x), v, max_iter=1),
+                       [1.0, 2.0], False, False),
+    # a negative entry is refused as "commitment entries must be 0 or 1"
+    "economic_dispatch.commit": (
+        "commitment", lambda v: economic_dispatch(_PAIR, v), [1, 1], True, True),
+    # -1 is an undecided unit, so node states have no floor of 0
+    "node_lower_bound.fixed": (
+        "node states", lambda v: node_lower_bound(_PAIR, v), [-1, 1], False, True),
+}
+
+# vector arguments that are not checked, and why
+_UNCHECKED_VECTORS = {
+    "DispatchSolution.powers": "a result the package builds",
+    "NearOptimalSet.members": "a result the package builds",
+    "NmResult.x": "a result the package builds",
+    "RunHistory.final_distribution": "a result the package builds",
+    "qaoa_distribution.diag": "runs once per evaluation on arrays the run built; size-checked",
+    "qaoa_distribution.out": "runs once per evaluation on arrays the run built; size-checked",
+    "nelder_mead.f": "a callable, not a vector",
+    "scaling_benchmark.sizes": "each entry goes through _count (see _COUNTS)",
+}
+
+
+def _bad_vectors(good, floored, sized):
+    head = list(good[:-1])
+    cases = {
+        "str": head + ["1"],
+        "complex": head + [1j],
+        "ragged": head + [[1.0, 1.0]],
+        "2-D": np.array([good]),
+        "nan": head + [math.nan],
+        "inf": head + [math.inf],
+    }
+    if floored:
+        cases["negative"] = head + [-1.0]
+    if sized:
+        cases["short"] = head
+    return cases
+
+
+_VECTOR_CASES = [(argument, case) for argument in sorted(_VECTORS)
+                 for case in _bad_vectors(*_VECTORS[argument][2:])]
+
+
+@pytest.mark.parametrize("argument, case", _VECTOR_CASES,
+                         ids=[f"{argument}-{case}" for argument, case in _VECTOR_CASES])
+def test_vector_arguments_reject(argument, case):
+    name, call, good, floored, sized = _VECTORS[argument]
+    with pytest.raises(ValidationError, match=rf"^{re.escape(name)} "):
+        call(_bad_vectors(good, floored, sized)[case])
+
+
+@pytest.mark.parametrize("argument", sorted(_VECTORS))
+def test_vector_arguments_take_lists_and_numpy_arrays(argument):
+    _, call, good, _, _ = _VECTORS[argument]
+    for value in (good, np.array(good), np.array(good, dtype=np.float32)):
+        call(value)
+
+
+def test_vector_arguments_take_bools_numpy_integers_and_scalar_angles():
+    # commitments of bools and numpy integers are priced as 0/1 ones
+    want = economic_dispatch(_PAIR, (1, 0)).cost
+    for commit in ([True, False], np.array([1, 0], dtype=np.int8)):
+        assert economic_dispatch(_PAIR, commit).cost == want
+    assert ContinuousAssignment(p=[True], s1=[0], s2=[0]).p.tolist() == [1.0]
+    # a scalar angle is a depth-1 angle vector
+    vp = VariationalParams(0.1, np.float64(0.2))
+    assert vp.gamma.tolist() == [0.1] and vp.beta.tolist() == [0.2]
+
+
+def test_theta_vector_refuses_scalar_angles():
+    # unchecked, a scalar angle was taken; .pack() then raised "zero-dimensional
+    # arrays cannot be concatenated" and objective "iteration over a 0-d array"
+    with pytest.raises(ValidationError, match="^gamma must be a vector, got 0.1"):
+        ThetaVector(gamma=0.1, beta=0.2, p=[1.0], s1=[1.0], s2=[1.0])
+
+
+def test_vector_errors_quote_a_few_entries_not_the_vector():
+    with pytest.raises(ValidationError) as info:
+        near_opt_probability(np.full(1024, math.nan), near_optimal_set(builtin_ten_unit(), 0.05))
+    assert str(info.value) == ("probs must be finite and >= 0, "
+                               "got [nan, nan, nan, nan, nan] and 1019 more")
+
+
+def test_finite_vector_returns_a_float64_vector_as_itself():
+    # run_hybrid relies on this: its one ThetaVector is a set of views of
+    # the buffer each proposal is written into
+    buffer = np.arange(6.0)
+    view = buffer[2:4]
+    assert _finite_vector(view, "x") is view
+
+
+def test_finite_vector_takes_ints_past_int64_as_floats():
+    # numpy holds them as objects; they are real numbers all the same
+    assert _finite_vector([2**64, 1], "x").tolist() == [2.0**64, 1.0]
+    with pytest.raises(ValidationError, match="^x is too large for a float"):
+        _finite_vector([10**400, 1], "x")
+
+
+def test_every_vector_argument_is_checked_or_exempted():
+    found = set()
+    for export in dir(ucqaoa):
+        obj = getattr(ucqaoa, export)
+        if export.startswith("_") or not (
+            inspect.isfunction(obj) or inspect.isclass(obj) and not issubclass(obj, Exception)
+        ):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            if re.search(r"\b(ndarray|Sequence)\b", str(param.annotation)):
+                found.add(f"{export}.{param.name}")
+    assert found == set(_VECTORS) | set(_UNCHECKED_VECTORS)

@@ -500,6 +500,26 @@ def test_run_hybrid_validates_only_at_the_boundary(monkeypatch):
     assert built == ["ContinuousAssignment", "VariationalParams"]
 
 
+def test_run_hybrid_builds_one_theta_per_run(monkeypatch):
+    # unpacking a ThetaVector per proposal made the count grow with the budget
+    built = 0
+    real = ThetaVector.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        real(self)
+
+    monkeypatch.setattr(ThetaVector, "__post_init__", counting)
+    inst = random_instance(4, rng=2)
+    counts = []
+    for iterations in (20, 40):
+        built = 0
+        run_hybrid(inst, HybridConfig(depth=2, max_iterations=iterations, seed=0))
+        counts.append(built)
+    assert counts[0] == counts[1]
+
+
 def test_run_hybrid_guard_and_infeasible():
     big = random_instance(21, rng=0)
     with pytest.raises(SizeGuardError):

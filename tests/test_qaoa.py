@@ -328,6 +328,13 @@ def test_sample_rejects_zero_shots():
         sample(np.full(4, 0.25), 0)
 
 
+def test_sample_rejects_a_distribution_without_mass():
+    # unchecked: "invalid value encountered in divide", then numpy's
+    # ValueError from the multinomial draw
+    with pytest.raises(ValidationError, match="^probs has no mass"):
+        sample(np.zeros(4), 10, 0)
+
+
 # ---------------------------------------------------------------------------
 # gate decomposition
 
