@@ -46,14 +46,12 @@ from .instance import (
 )
 from .metrics import (
     MetricSnapshot,
-    avg_hamming_top_k,
     compute_snapshot,
     export_history,
-    near_opt_probability,
     top_k,
 )
 from .neldermead import NmResult, nelder_mead
 from .qaoa import VariationalParams, qaoa_distribution, sample
-from .qubo import ContinuousAssignment, PenaltyWeights
+from .qubo import PenaltyWeights
 
 __version__ = "0.1.0"

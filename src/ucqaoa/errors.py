@@ -18,4 +18,4 @@ class SizeGuardError(ValueError):
 
 
 class NonFiniteObjectiveError(RuntimeError):
-    """The simplex optimizer hit a NaN/inf objective value."""
+    """An objective value, or the distribution it is sampled from, is NaN/inf."""

@@ -8,10 +8,11 @@ the metric snapshots read the distribution the objective already computed
 at the best vertex.
 
 A run allocates its 2**n memory once, in a private workspace: the cost
-table, one real scratch array (first the table's subset sums, then the
-standardized phase table), the circuit's two complex state arrays and two
-distribution arrays.  Every evaluation writes into these in place.  One
-distribution array holds the best vertex's distribution while the next
+table, one real scratch array (the table's subset sums, then the
+standardized phase table, then with shots the normalized distribution),
+the circuit's two complex state arrays and two distribution arrays.
+Every evaluation writes into these in place.  One distribution array
+holds the best vertex's distribution while the next
 evaluation writes into the other (using it as scratch on the way), and
 the two swap on a strict improvement, so a snapshot or the run's final
 distribution never reads an array that is being overwritten.  The public
@@ -21,8 +22,9 @@ Inputs are validated at the boundary, not per proposal: the public
 `objective` checks its theta, `run_hybrid` the one `ThetaVector` it reuses
 for every proposal, and `nelder_mead` raises on any non-finite objective.  An
 evaluation builds the cost table straight from the rank-1 structure of
-the penalty (`qubo._cost_table`) and hands the circuit theta's own angle
-vectors.
+the penalty (`qubo._cost_table`), hands the circuit theta's own angle
+vectors, and samples through `qaoa._sample_counts`, the kernel of the
+public `qaoa.sample`, which checks only the distribution's total.
 
 The phase separator sees a standardized (zero-mean, unit-spread) copy of
 the cost table; the reported expectation always uses the true table.
@@ -45,7 +47,7 @@ from .dispatch import NearOptimalSet, near_optimal_set
 from .errors import SizeGuardError, ValidationError
 from .instance import UcInstance, _count, _finite_float, _finite_vector, index_to_string
 from .neldermead import nelder_mead
-from .qubo import ContinuousAssignment, PenaltyWeights, _cost_table
+from .qubo import PenaltyWeights, _cost_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +199,8 @@ def _evaluate(
                        out=ws.table, scratch=ws.scratch)
     phases = _phase_table(diag, out=ws.scratch, square=ws.next)
     probs = qaoa.qaoa_distribution(phases, theta, out=ws.next, states=ws.states)
-    if shots > 0:
-        np.divide(qaoa.sample(probs, shots, rng), shots, out=probs)
+    if shots > 0:  # the phase table is spent, so its array takes the normalized copy
+        np.divide(qaoa._sample_counts(probs, shots, rng, ws.scratch), shots, out=probs)
     return qaoa.expectation(probs, diag), probs
 
 
@@ -215,9 +217,7 @@ def objective(inst: UcInstance, w: PenaltyWeights, theta: ThetaVector) -> float:
     """
     if theta.n_units != inst.n:
         raise ValidationError(f"theta is for {theta.n_units} units, instance has {inst.n}")
-    # built for their checks only: _evaluate validates nothing
-    ContinuousAssignment(p=np.abs(theta.p), s1=np.abs(theta.s1), s2=np.abs(theta.s2))
-    qaoa.VariationalParams(theta.gamma, theta.beta)
+    theta.__post_init__()  # its own check, again: a caller may write into its arrays
     return _evaluate(inst, w, theta)[0]
 
 

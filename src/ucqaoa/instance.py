@@ -165,7 +165,8 @@ def _finite_vector(value, name: str, size: Optional[int] = None,
         got = repr(value) if arr.ndim == 0 else f"shape {arr.shape}"
         raise ValidationError(f"{name} must be a vector, got {got}")
     if arr is not None and arr.dtype == object and all(isinstance(e, numbers.Real) for e in value):
-        arr = np.array([_finite_float(e, name) for e in value])  # an int past int64, a Fraction
+        # an int past int64 or a Fraction; a bool beside them is 0 or 1, as elsewhere
+        arr = np.array([_finite_float(int(e) if isinstance(e, bool) else e, name) for e in value])
     if arr is None or arr.dtype.kind not in "biuf":  # ragged, or a str, complex or object entry
         bad = [e for e in value if not isinstance(e, numbers.Real)] or list(value)
         rule = "a vector of real numbers"
@@ -177,9 +178,14 @@ def _finite_vector(value, name: str, size: Optional[int] = None,
         bad = [] if ok.all() else arr[~ok].tolist()
         rule = "finite" if least is None else f"finite and >= {least:g}"
     if bad:
-        more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
-        raise ValidationError(f"{name} must be {rule}, got {bad[:5]!r}{more}")
+        raise ValidationError(f"{name} must be {rule}, got {_quote(bad)}")
     return arr
+
+
+def _quote(entries: list) -> str:
+    """At most five entries, and how many more, for a one-line error message."""
+    more = f" and {len(entries) - 5} more" if len(entries) > 5 else ""
+    return f"{entries[:5]!r}{more}"
 
 
 def _check_commitment(inst: UcInstance, commit: Sequence[int]) -> np.ndarray:

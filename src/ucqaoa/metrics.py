@@ -3,6 +3,8 @@
 Two quantities are tracked over a run: the total probability mass on the
 near-optimal set, and the average Hamming distance from each of the top-k
 most probable bitstrings to its closest near-optimal member.
+`compute_snapshot` computes both and checks its distribution once, ranking
+through `_ranked`, the unchecked kernel of the public `top_k`.
 """
 
 from __future__ import annotations
@@ -21,28 +23,16 @@ HISTORY_FIELDS = ("iter", "objective", "near_opt_prob", "avg_hamming_top50",
                   "best_bitstring", "elapsed_ms")
 
 
-def near_opt_probability(probs: np.ndarray, nos: NearOptimalSet) -> float:
-    """Total probability mass on the near-optimal commitments."""
-    probs = _finite_vector(probs, "probs", 1 << nos.n, 0)
-    return float(probs[nos.members].sum())
-
-
 def top_k(probs: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k most probable basis states, descending probability,
     ties broken by ascending index.  Returns all indices when 2^N < k."""
     k = _count(k, "k", 1)
-    return np.argsort(-_finite_vector(probs, "probs", least=0), kind="stable")[:k]
+    return _ranked(_finite_vector(probs, "probs", least=0), k)
 
 
-def avg_hamming_top_k(probs: np.ndarray, nos: NearOptimalSet, k: int = 50) -> float:
-    """Mean over the top-k bitstrings of the distance to the closest member."""
-    probs = _finite_vector(probs, "probs", 1 << nos.n, 0)
-    members = nos.members
-    if members.size == 0:
-        raise ValidationError("near-optimal set is empty")
-    ranked = top_k(probs, k)
-    dists = np.bitwise_count(ranked[:, None] ^ members[None, :]).min(axis=1)
-    return float(dists.mean())
+def _ranked(probs: np.ndarray, k: int) -> np.ndarray:
+    """`top_k` on checked arguments."""
+    return np.argsort(-probs, kind="stable")[:k]
 
 
 @dataclass(frozen=True)
@@ -58,10 +48,15 @@ class MetricSnapshot:
 
 
 def compute_snapshot(probs: np.ndarray, nos: NearOptimalSet, k: int = 50) -> MetricSnapshot:
-    return MetricSnapshot(
-        near_opt_prob=near_opt_probability(probs, nos),
-        avg_hamming_top50=avg_hamming_top_k(probs, nos, k),
-    )
+    """Both metrics of one distribution over nos's 2^N commitments."""
+    probs = _finite_vector(probs, "probs", 1 << nos.n, 0)
+    members = nos.members
+    if members.size == 0:
+        raise ValidationError("near-optimal set is empty")
+    ranked = _ranked(probs, _count(k, "k", 1))
+    dists = np.bitwise_count(ranked[:, None] ^ members[None, :]).min(axis=1)
+    return MetricSnapshot(near_opt_prob=float(probs[members].sum()),
+                          avg_hamming_top50=float(dists.mean()))
 
 
 def export_history(history, format: str, path: str) -> None:

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NonFiniteObjectiveError, ValidationError
-from .instance import _count, _finite_vector
+from .instance import _count, _finite_vector, _quote
 
 Callback = Callable[[int, np.ndarray, float], None]
 
@@ -64,7 +64,7 @@ def nelder_mead(
         value = float(f(x))
         if not np.isfinite(value):
             raise NonFiniteObjectiveError(
-                f"objective returned {value} at x={x!r}; "
+                f"objective returned {value} at x={_quote(x.tolist())}; "
                 "check for overflow or oversized penalty weights"
             )
         return value

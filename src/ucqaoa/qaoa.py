@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeGuardError, ValidationError
+from .errors import NonFiniteObjectiveError, SizeGuardError, ValidationError
 from .instance import _count, _finite_vector
 
 # 2**20 amplitudes (16 MB) and cost-table entries (8 MB); a hybrid run's
@@ -203,4 +203,14 @@ def sample(probs: np.ndarray, shots: int, seed=None) -> np.ndarray:
     p = _finite_vector(probs, "probs", least=0)
     if not p.any():
         raise ValidationError("probs has no mass to sample: every entry is 0")
-    return rng.multinomial(shots, p / p.sum())
+    return _sample_counts(p, shots, rng)
+
+
+def _sample_counts(probs: np.ndarray, shots: int, rng, scratch=None) -> np.ndarray:
+    """`sample` on checked arguments, normalizing into ``scratch`` (allocated
+    when not given): bit for bit ``probs / probs.sum()``.  Checks the total alone."""
+    total = probs.sum()
+    if not 0.0 < total < math.inf:  # a non-finite cost table makes it nan
+        raise NonFiniteObjectiveError(f"distribution to sample has total probability {total}; "
+                                      "check for overflow or oversized penalty weights")
+    return rng.multinomial(shots, np.divide(probs, total, out=scratch))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .instance import UcInstance, _finite_float, _finite_vector
+from .instance import UcInstance, _finite_float
 from .qaoa import QUBIT_GUARD
 
 
@@ -56,20 +56,6 @@ class PenaltyWeights:
                 "instance; pass explicit weights (lambda1, lambda2, lambda3)"
             )
         return cls(lambda1=w, lambda2=w, lambda3=w)
-
-
-@dataclass(frozen=True, eq=False)
-class ContinuousAssignment:
-    """Fixed continuous part (p, s1, s2) of equal lengths; all entries finite and >= 0."""
-
-    p: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("p", "s1", "s2"):  # s1 and s2 are sized to p, checked first
-            size = None if name == "p" else self.p.size
-            object.__setattr__(self, name, _finite_vector(getattr(self, name), name, size, 0))
 
 
 def _cost_table(

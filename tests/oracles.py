@@ -3,12 +3,14 @@
 Each is the plain, unvectorised definition of a quantity the package
 computes another way, so the tests can check the fast paths against it:
 the physical cost unit by unit and a feasibility check of a dispatch,
-the penalized objective term by term, the paper's matrix QUBO (each
-squared penalty expanded into a constant, a linear vector and a dense
-strictly upper-triangular coupling matrix) with its cost table doubled
-pairwise over the bits, its Ising form applied gate by gate, the mixer
-applied qubit by qubit on the uniform state, the QAOA distribution with
-every step in a fresh array, the branch-and-bound bounds column by
+the penalized objective term by term at a checked continuous assignment,
+the two convergence metrics each on its own checked distribution (the
+package's `compute_snapshot` computes both at once), the paper's matrix
+QUBO (each squared penalty expanded into a constant, a linear vector and
+a dense strictly upper-triangular coupling matrix) with its cost table
+doubled pairwise over the bits, its Ising form applied gate by gate, the
+mixer applied qubit by qubit on the uniform state, the QAOA distribution
+with every step in a fresh array, the branch-and-bound bounds column by
 column, a grid search over the dispatch, the dispatch's breakpoint by
 plain bisection, and the inverses of the CLI's instance and history I/O.
 """
@@ -22,17 +24,25 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from ucqaoa.baseline import OFF, ON, UNDECIDED
-from ucqaoa.dispatch import INFEASIBLE_COST, DispatchSolution, _dispatch_costs, _dispatch_rows
+from ucqaoa.dispatch import (
+    INFEASIBLE_COST,
+    DispatchSolution,
+    NearOptimalSet,
+    _dispatch_costs,
+    _dispatch_rows,
+)
 from ucqaoa.errors import SizeGuardError, ValidationError
 from ucqaoa.instance import (
     Commitment,
     UcInstance,
     UnitSpec,
     _check_commitment,
+    _finite_vector,
     index_to_bits,
 )
+from ucqaoa.metrics import top_k
 from ucqaoa.qaoa import QUBIT_GUARD, _qubit_count, _rotation_block
-from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights
+from ucqaoa.qubo import PenaltyWeights
 
 
 def _check_lengths(inst: UcInstance, *vectors: Sequence) -> None:
@@ -284,6 +294,20 @@ def bisection_dispatch_rows(
 # penalized objective, term by term
 
 
+@dataclass(frozen=True, eq=False)
+class ContinuousAssignment:
+    """Fixed continuous part (p, s1, s2) of equal lengths; all entries finite and >= 0."""
+
+    p: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("p", "s1", "s2"):  # s1 and s2 are sized to p, checked first
+            size = None if name == "p" else self.p.size
+            object.__setattr__(self, name, _finite_vector(getattr(self, name), name, size, 0))
+
+
 def optimal_slacks(inst: UcInstance, p: Sequence[float], commit: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Penalty-minimizing slacks for given powers and commitment:
     s1 = max(0, p - p_min*y), s2 = max(0, p_max*y - p)."""
@@ -317,6 +341,27 @@ def penalized_objective(
     value += w.lambda2 * float(np.sum((p - s1 - lo * y) ** 2))
     value += w.lambda3 * float(np.sum((p + s2 - hi * y) ** 2))
     return value
+
+
+# ---------------------------------------------------------------------------
+# the two convergence metrics, each checking its own distribution
+
+
+def near_opt_probability(probs: np.ndarray, nos: NearOptimalSet) -> float:
+    """Total probability mass on the near-optimal commitments."""
+    probs = _finite_vector(probs, "probs", 1 << nos.n, 0)
+    return float(probs[nos.members].sum())
+
+
+def avg_hamming_top_k(probs: np.ndarray, nos: NearOptimalSet, k: int = 50) -> float:
+    """Mean over the top-k bitstrings of the distance to the closest member."""
+    probs = _finite_vector(probs, "probs", 1 << nos.n, 0)
+    members = nos.members
+    if members.size == 0:
+        raise ValidationError("near-optimal set is empty")
+    ranked = top_k(probs, k)
+    dists = np.bitwise_count(ranked[:, None] ^ members[None, :]).min(axis=1)
+    return float(dists.mean())
 
 
 # ---------------------------------------------------------------------------

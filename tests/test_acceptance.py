@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    ContinuousAssignment,
     Qubo,
     all_commitments,
     build_qubo,
@@ -50,7 +51,7 @@ from ucqaoa.qaoa import (
     apply_cost_phase,
     qaoa_distribution,
 )
-from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights, _cost_table
+from ucqaoa.qubo import PenaltyWeights, _cost_table
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> bool:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import build_qubo, qubo_diagonal, serialize_instance
+from oracles import ContinuousAssignment, build_qubo, qubo_diagonal, serialize_instance
 from ucqaoa.baseline import random_instance, scaling_benchmark
 from ucqaoa.cli import main
 from ucqaoa.dispatch import enumerate_all, near_optimal_set
@@ -24,7 +24,7 @@ from ucqaoa.instance import (
     string_to_bits,
 )
 from ucqaoa.qaoa import VariationalParams, qaoa_distribution
-from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights
+from ucqaoa.qubo import PenaltyWeights
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instances
-from oracles import all_commitments, penalized_objective
+from oracles import ContinuousAssignment, all_commitments, penalized_objective
 from ucqaoa.baseline import random_instance
-from ucqaoa.errors import InfeasibleError, SizeGuardError, ValidationError
+from ucqaoa.errors import InfeasibleError, NonFiniteObjectiveError, SizeGuardError, ValidationError
 from ucqaoa.hybrid import (
     HistoryRecord,
     HybridConfig,
@@ -24,7 +24,7 @@ from ucqaoa import hybrid, qaoa
 from ucqaoa.dispatch import enumerate_all, near_optimal_set
 from ucqaoa.instance import UcInstance, UnitSpec, builtin_ten_unit, index_to_string
 from ucqaoa.metrics import compute_snapshot
-from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights
+from ucqaoa.qubo import PenaltyWeights
 
 
 def _theta(inst, gamma, beta, seed=0):
@@ -415,6 +415,35 @@ def test_warm_evaluation_allocates_no_table():
     assert peak < 8 * (1 << n)  # less than one real table
 
 
+def test_warm_sampled_evaluation_allocates_only_the_counts():
+    # multinomial's int64 counts (8 * 2**n bytes) have no out=; the public
+    # sample's check and its p / p.sum() copy took the peak to 1024 KB here
+    n = 16
+    inst = random_instance(n, rng=1)
+    w = PenaltyWeights.default_for(inst)
+    theta = _theta(inst, [0.3, 0.5], [0.2, 0.4])
+    ws = hybrid._Workspace(n)
+    rng = np.random.default_rng(0)
+    hybrid._evaluate(inst, w, theta, 1024, rng, ws)  # warm-up
+    tracemalloc.start()
+    try:
+        hybrid._evaluate(inst, w, theta, 1024, rng, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * (1 << n)
+
+
+def test_sampled_run_reports_a_non_finite_objective():
+    # the sampled path checks the distribution's total alone; a nan table
+    # was refused as "probs must be finite and >= 0", an argument no caller passed
+    inst = builtin_ten_unit(700.0)
+    cfg = HybridConfig(max_iterations=5, shots=64, weights=PenaltyWeights(1e308, 1e308, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteObjectiveError, match="total probability nan"):
+            run_hybrid(inst, cfg)
+
+
 def test_final_distribution_survives_the_next_run():
     inst = random_instance(6, rng=17)
     cfg = HybridConfig(depth=2, max_iterations=80, metric_cadence=10, seed=0)
@@ -495,9 +524,28 @@ def test_run_hybrid_validates_only_at_the_boundary(monkeypatch):
     inst = random_instance(4, rng=2)
     run_hybrid(inst, HybridConfig(depth=2, max_iterations=20, seed=0))
     assert built == []
-    # the public objective keeps its own checks, one of each per call
-    objective(inst, PenaltyWeights.default_for(inst), _theta(inst, [0.1], [0.2]))
-    assert built == ["ContinuousAssignment", "VariationalParams"]
+    # the public objective re-runs its theta's own check, once per call,
+    # and builds neither class
+    checks = 0
+    real_check = ThetaVector.__post_init__
+
+    def counting_check(self):
+        nonlocal checks
+        checks += 1
+        real_check(self)
+
+    monkeypatch.setattr(ThetaVector, "__post_init__", counting_check)
+    w = PenaltyWeights.default_for(inst)
+    theta = _theta(inst, [0.1], [0.2])
+    checks = 0
+    objective(inst, w, theta)
+    assert (checks, built) == (1, [])
+    # so an entry written after the theta was built is caught
+    for name in ("p", "gamma"):
+        theta = _theta(inst, [0.1], [0.2])
+        getattr(theta, name)[0] = math.nan
+        with pytest.raises(ValidationError, match=rf"^{name} must be finite, got \[nan\]"):
+            objective(inst, w, theta)
 
 
 def test_run_hybrid_builds_one_theta_per_run(monkeypatch):

@@ -5,19 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hamming, load_history
+from oracles import avg_hamming_top_k, hamming, load_history, near_opt_probability
 from ucqaoa.dispatch import NearOptimalSet, near_optimal_set
 from ucqaoa.errors import ValidationError
 from ucqaoa.hybrid import HistoryRecord, HybridConfig, run_hybrid
 from ucqaoa.instance import bits_to_index
 from ucqaoa.baseline import random_instance
-from ucqaoa.metrics import (
-    avg_hamming_top_k,
-    compute_snapshot,
-    export_history,
-    near_opt_probability,
-    top_k,
-)
+from ucqaoa.metrics import compute_snapshot, export_history, top_k
 
 
 def _nos(n, members, optimal=100.0, cutoff=105.0):
@@ -157,6 +151,38 @@ def test_snapshot_fields_consistent():
     assert snap.near_opt_prob == pytest.approx(0.4)
     assert list(top_k(probs, 3)) == [3, 2, 1]  # "11", "01", "10" unit-0-first
     assert snap.avg_hamming_top50 == pytest.approx((0 + 1 + 1) / 3)
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=30)
+def test_snapshot_equals_the_two_metrics(n, data):
+    # compute_snapshot checks its distribution once and computes both
+    # metrics inline; the oracles check it once each
+    from ucqaoa.instance import index_to_bits
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+    probs = rng.dirichlet(np.ones(1 << n))
+    members_idx = rng.choice(1 << n, size=data.draw(st.integers(1, 1 << n)), replace=False)
+    nos = _nos(n, {index_to_bits(int(i), n) for i in members_idx})
+    k = data.draw(st.integers(1, 1 << n))
+    snap = compute_snapshot(probs, nos, k)
+    assert (snap.near_opt_prob, snap.avg_hamming_top50) == (
+        near_opt_probability(probs, nos), avg_hamming_top_k(probs, nos, k))
+
+
+@pytest.mark.parametrize("probs, nos, k", [
+    (np.full(4, 0.25), _nos(2, set()), 50),
+    (np.full(4, 0.25), _nos(2, set()), 0),
+    (np.full(4, 0.25), _nos(2, {(1, 1)}), 0),
+], ids=["empty-set", "empty-set-and-k", "k"])
+def test_snapshot_refuses_what_the_two_metrics_refuse(probs, nos, k):
+    # each bad probs is compared in test_arguments.py
+    with pytest.raises(ValidationError) as want:
+        near_opt_probability(probs, nos)
+        avg_hamming_top_k(probs, nos, k)
+    with pytest.raises(ValidationError) as got:
+        compute_snapshot(probs, nos, k)
+    assert str(got.value) == str(want.value)
 
 
 def test_snapshot_validates_ranges():

@@ -67,6 +67,15 @@ def test_non_finite_objective_aborts():
         nelder_mead(bad, [2.05])
 
 
+def test_non_finite_error_quotes_five_entries_on_one_line():
+    # the whole vertex was quoted as a numpy repr, seven lines at 32 entries
+    with pytest.raises(NonFiniteObjectiveError) as info:
+        nelder_mead(lambda x: float("inf"), np.arange(32.0))
+    assert str(info.value) == (
+        "objective returned inf at x=[0.0, 1.0, 2.0, 3.0, 4.0] and 27 more; "
+        "check for overflow or oversized penalty weights")
+
+
 def test_input_validation():
     with pytest.raises(ValidationError):
         nelder_mead(lambda x: 0.0, [])

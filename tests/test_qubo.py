@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import instances
 from oracles import (
+    ContinuousAssignment,
     Qubo,
     all_commitments,
     build_qubo,
@@ -23,7 +24,7 @@ from ucqaoa.instance import (
     builtin_ten_unit,
     index_to_bits,
 )
-from ucqaoa.qubo import ContinuousAssignment, PenaltyWeights, _cost_table
+from ucqaoa.qubo import PenaltyWeights, _cost_table
 
 
 def _inst(units, load):
