@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: oracle, simulate, run-hybrid, solve-classical,
-bench-classical, metrics.  Exit codes: 0 success, 2 validation error,
-3 infeasible instance, 4 size guard exceeded.
+bench-classical, metrics.  Exit codes: 0 success, 2 validation/file
+error, 3 infeasible instance, 4 size guard exceeded, 1 non-finite
+objective.
 
 Timing fields are zeroed by default in run-hybrid and solve-classical
 output (pass --wall-times for real clocks) and real by default in
@@ -13,9 +14,11 @@ artifact a regression test pins is byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import logging
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -45,6 +48,11 @@ log = logging.getLogger("ucqaoa")
 
 BUILTIN_TOKEN = "builtin:ten-unit"
 
+# the exit code of each error main reports, looked up in this order by
+# isinstance, so a subclass (FileNotFoundError of OSError) takes its base's code
+_EXIT_CODES = {SizeGuardError: 4, InfeasibleError: 3, ValidationError: 2, OSError: 2,
+               NonFiniteObjectiveError: 1}
+
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -68,18 +76,13 @@ def _weights(args, inst: UcInstance) -> PenaltyWeights:
     return PenaltyWeights(*given)
 
 
-def _float_list(text: str) -> list[float]:
+def _numbers(text: str, kind: type) -> list:
+    """A comma-separated list of `kind` (float or int); empty items are skipped."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
+        noun = "integers" if kind is int else "numbers"
+        raise ValidationError(f"expected comma-separated {noun}, got {text!r}") from exc
 
 
 def _seed(text: str) -> int:
@@ -93,24 +96,14 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _out_stream(path: Optional[str]):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
 def _write_rows(path: Optional[str], header: Sequence[str], rows) -> None:
-    stream, owned = _out_stream(path)
-    try:
-        writer = csv.writer(stream)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if owned:
-            stream.close()
+    """A CSV file at `path`, or on stdout when `path` is None or '-'."""
+    to_stdout = path is None or path == "-"
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> None:
     inst = _load_instance(args)
     entries = dispatch.enumerate_all(inst)
     log.info("enumerated %d commitments for %s", len(entries), inst.name)
@@ -119,7 +112,6 @@ def cmd_oracle(args) -> int:
         cost = _fmt(sol.cost) if sol.feasible else ""
         rows.append([bits_to_string(bits), cost, "true" if sol.feasible else "false"])
     _write_rows(args.out, ["bitstring", "cost", "feasible"], rows)
-    return 0
 
 
 def _distribution_rows(probs: np.ndarray, n: int, k: Optional[int]):
@@ -130,20 +122,28 @@ def _distribution_rows(probs: np.ndarray, n: int, k: Optional[int]):
     return [[index_to_string(int(i), n), _fmt(probs[int(i)])] for i in idx]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     inst = _load_instance(args)
     w = _weights(args, inst)
-    gamma = _float_list(args.gamma)
-    beta = _float_list(args.beta)
+    gamma = _numbers(args.gamma, float)
+    beta = _numbers(args.beta, float)
     # HybridConfig validates the shot count as run-hybrid does
     cfg = hybrid.HybridConfig(depth=max(1, len(gamma)), seed=args.seed, shots=args.shots)
     theta0 = hybrid.initial_theta(inst, cfg)
     p, s1, s2 = (
-        _finite_vector(_float_list(text) if text else getattr(theta0, name), name, inst.n, 0)
+        _finite_vector(_numbers(text, float) if text else getattr(theta0, name), name, inst.n, 0)
         for name, text in (("p", args.p), ("s1", args.s1), ("s2", args.s2))
     )
-    diag = _cost_table(inst, w, p, s1, s2)
-    probs = qaoa.qaoa_distribution(diag, qaoa.VariationalParams(gamma, beta))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, before it is simulated
+        diag = _cost_table(inst, w, p, s1, s2)
+    vp = qaoa.VariationalParams(gamma, beta)
+    if not np.isfinite(diag).all():
+        raise NonFiniteObjectiveError(f"cost table is not finite at {w} and the given p, s1, s2")
+    top_gamma, top_cost = float(np.abs(vp.gamma).max()), float(np.abs(diag).max())
+    if not math.isfinite(top_gamma * top_cost):  # bounds every phase angle gamma * diag[k]
+        raise NonFiniteObjectiveError(f"phase gamma * cost is not finite: max |gamma| "
+                                      f"{top_gamma!r} times max |cost| {top_cost!r}")
+    probs = qaoa.qaoa_distribution(diag, vp)
     if args.shots > 0:
         rng = np.random.default_rng(args.seed)
         probs = qaoa.sample(probs, args.shots, rng) / args.shots
@@ -152,40 +152,15 @@ def cmd_simulate(args) -> int:
     if args.out is not None:
         _write_rows(args.out, ["bitstring", "probability"],
                     _distribution_rows(probs, inst.n, None))
-    return 0
 
 
-def _zero_elapsed(records):
-    return tuple(dataclasses.replace(r, elapsed_ms=0.0) for r in records)
-
-
-def _gnuplot_history(csv_path: str, gp_path: str) -> None:
-    text = (
-        "set datafile separator ','\n"
-        "set xlabel 'iteration'\n"
-        "set ylabel 'near-optimal probability'\n"
-        "set y2label 'avg Hamming distance (top 50)'\n"
-        "set y2tics\n"
-        f"plot '{csv_path}' using 1:3 with lines title 'near-opt prob', \\\n"
-        f"     '{csv_path}' using 1:4 axes x1y2 with lines title 'avg Hamming top-50'\n"
-    )
+def _gnuplot(gp_path: str, settings: Sequence[str], plots: Sequence[str]) -> None:
+    """A gnuplot script: a `set` line per setting, then one plot command
+    drawing each of `plots` (a file, its columns and its style)."""
+    lines = ["datafile separator ','", *settings]
     with open(gp_path, "w") as fh:
-        fh.write(text)
-
-
-def _gnuplot_scaling(csv_path: str, gp_path: str) -> None:
-    text = (
-        "set datafile separator ','\n"
-        "set xlabel 'units'\n"
-        "set ylabel 'median wall time (ms)'\n"
-        "set logscale y\n"
-        f"plot '{csv_path}' using 1:(strcol(2) eq 'exact' ? $3 : 1/0) "
-        "with linespoints title 'exact', \\\n"
-        f"     '{csv_path}' using 1:(strcol(2) eq 'approx' ? $3 : 1/0) "
-        "with linespoints title 'approx'\n"
-    )
-    with open(gp_path, "w") as fh:
-        fh.write(text)
+        fh.write("".join(f"set {line}\n" for line in lines)
+                 + "plot " + ", \\\n     ".join(plots) + "\n")
 
 
 def _stem(path: str) -> str:
@@ -195,7 +170,7 @@ def _stem(path: str) -> str:
     return path
 
 
-def cmd_run_hybrid(args) -> int:
+def cmd_run_hybrid(args) -> None:
     inst = _load_instance(args)
     cfg = hybrid.HybridConfig(
         depth=args.depth,
@@ -207,7 +182,9 @@ def cmd_run_hybrid(args) -> int:
         near_opt_fraction=args.fraction,
     )
     history = hybrid.run_hybrid(inst, cfg)
-    records = history.records if args.wall_times else _zero_elapsed(history.records)
+    records = history.records
+    if not args.wall_times:
+        records = tuple(dataclasses.replace(r, elapsed_ms=0.0) for r in records)
     if args.out is not None:
         fmt = "json" if args.out.endswith(".json") else "csv"
         metrics.export_history(records, fmt, args.out)
@@ -216,17 +193,20 @@ def cmd_run_hybrid(args) -> int:
             if fmt == "json":
                 csv_path = _stem(args.out) + ".csv"
                 metrics.export_history(records, "csv", csv_path)
-            _gnuplot_history(csv_path, _stem(args.out) + ".gp")
+            _gnuplot(_stem(args.out) + ".gp",
+                     ["xlabel 'iteration'", "ylabel 'near-optimal probability'",
+                      "y2label 'avg Hamming distance (top 50)'", "y2tics"],
+                     [f"'{csv_path}' using 1:3 with lines title 'near-opt prob'",
+                      f"'{csv_path}' using 1:4 axes x1y2 with lines title 'avg Hamming top-50'"])
     final = records[-1]
     print(f"iterations={final.iter}")
     print(f"objective={_fmt(final.objective)}")
     print(f"near_opt_prob={_fmt(final.near_opt_prob)}")
     print(f"avg_hamming_top50={_fmt(final.avg_hamming_top50)}")
     print(f"best_bitstring={final.best_bitstring}")
-    return 0
 
 
-def cmd_solve_classical(args) -> int:
+def cmd_solve_classical(args) -> None:
     inst = _load_instance(args)
     report = baseline.solve_exact(inst) if args.gap is None else baseline.solve_approx(inst, args.gap)
     wall = report.wall_time_s if args.wall_times else 0.0
@@ -236,18 +216,19 @@ def cmd_solve_classical(args) -> int:
     print(f"proven_gap={_fmt(report.proven_gap)}")
     print(f"nodes_expanded={report.nodes_expanded}")
     print(f"wall_time_s={_fmt(wall)}")
-    return 0
 
 
-def cmd_bench_classical(args) -> int:
-    sizes = _int_list(args.sizes)
+def cmd_bench_classical(args) -> None:
+    sizes = _numbers(args.sizes, int)
     rows = baseline.scaling_benchmark(sizes, trials=args.trials, gap=args.gap, seed=args.seed)
     out_rows = [[n, mode, _fmt(ms if args.wall_times else 0.0), _fmt(cost), _fmt(nodes)]
                 for n, mode, ms, cost, nodes in rows]
     _write_rows(args.out, ["n", "mode", "median_ms", "cost", "nodes_expanded"], out_rows)
     if args.gnuplot and args.out is not None:
-        _gnuplot_scaling(args.out, _stem(args.out) + ".gp")
-    return 0
+        _gnuplot(_stem(args.out) + ".gp",
+                 ["xlabel 'units'", "ylabel 'median wall time (ms)'", "logscale y"],
+                 [f"'{args.out}' using 1:(strcol(2) eq '{mode}' ? $3 : 1/0) "
+                  f"with linespoints title '{mode}'" for mode in ("exact", "approx")])
 
 
 def _load_distribution(path: str, n: int) -> np.ndarray:
@@ -287,7 +268,7 @@ def _load_distribution(path: str, n: int) -> np.ndarray:
     return probs
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> None:
     inst = _load_instance(args)
     probs = _load_distribution(args.distribution, inst.n)
     nos = dispatch.near_optimal_set(inst, args.fraction)
@@ -300,7 +281,6 @@ def cmd_metrics(args) -> int:
         ["cutoff", _fmt(nos.cutoff)],
     ]
     _write_rows(args.out, ["metric", "value"], rows)
-    return 0
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
@@ -396,19 +376,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
-    except SizeGuardError as exc:
+        args.func(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NonFiniteObjectiveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: validation problems exit 2,
-infeasible instances exit 3, size-guard violations exit 4.
+The CLI maps these onto exit codes: 0 success, 2 validation/file error
+(a ValidationError or an OSError), 3 infeasible instance, 4 size guard
+exceeded, 1 non-finite objective.
 """
 
 

@@ -34,8 +34,9 @@ class UnitSpec:
     """One generating unit: cost coefficients and generation limits.
 
     Cost of running the unit at power p (MW) is ``a*y + b*p + c*p**2``
-    dollars, with y the ON/OFF bit.  Requires 0 <= p_min <= p_max and
-    non-negative cost coefficients.
+    dollars, with y the ON/OFF bit.  Requires 0 <= p_min <= p_max,
+    non-negative cost coefficients and a finite cost at p_max, so that
+    every dispatch cost is finite and an infinite one can only mean infeasible.
     """
 
     p_min: float
@@ -49,6 +50,9 @@ class UnitSpec:
             object.__setattr__(self, name, _finite_float(getattr(self, name), name, 0))
         if self.p_min > self.p_max:
             raise ValidationError(f"p_min ({self.p_min}) exceeds p_max ({self.p_max})")
+        if not math.isfinite(_cost_at_p_max(self)):
+            raise ValidationError(
+                f"cost a + b*p_max + c*p_max**2 at p_max {self.p_max!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,8 @@ class UcInstance:
         object.__setattr__(self, "load", _finite_float(self.load, "load"))
         if self.load <= 0:
             raise ValidationError(f"load must be positive, got {self.load}")
+        if not math.isfinite(sum(_cost_at_p_max(u) for u in self.units)):
+            raise ValidationError("the units' summed cost at p_max is not finite")
         cap = sum(u.p_max for u in self.units)
         if self.load > cap:
             warnings.warn(
@@ -90,6 +96,12 @@ class UcInstance:
 
     def with_load(self, load: float) -> "UcInstance":
         return UcInstance(units=self.units, load=load, name=self.name)
+
+
+def _cost_at_p_max(unit: UnitSpec) -> float:
+    # p_max * p_max, not p_max ** 2: a float power past the largest float
+    # raises OverflowError, a product is inf
+    return unit.a + unit.b * unit.p_max + unit.c * unit.p_max * unit.p_max
 
 
 # ---------------------------------------------------------------------------

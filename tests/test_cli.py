@@ -37,6 +37,12 @@ def small_instance_path(tmp_path):
     return str(path)
 
 
+def _assert_one_error(capsys, message):
+    # an error is one stderr line, and nothing reaches stdout
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -111,9 +117,9 @@ def test_simulate_shots_deterministic(small_instance_path, capsys):
 
 def test_simulate_rejects_bad_angle_list(small_instance_path, capsys):
     rc = main(["simulate", "--instance", small_instance_path,
-               "--gamma", "0.1,oops", "--beta", "0.1"])
+               "--gamma", "0.3,y", "--beta", "0.1"])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    _assert_one_error(capsys, "expected comma-separated numbers, got '0.3,y'")
 
 
 def test_simulate_explicit_continuous_part(small_instance_path, capsys):
@@ -198,9 +204,17 @@ def test_run_hybrid_gnuplot_companions(small_instance_path, tmp_path):
     out = str(tmp_path / "hist.json")
     main(["run-hybrid", "--instance", small_instance_path,
           "--iterations", "10", "--cadence", "5", "--out", out, "--gnuplot"])
-    assert os.path.exists(str(tmp_path / "hist.csv"))
-    gp = open(str(tmp_path / "hist.gp")).read()
-    assert "plot" in gp and "hist.csv" in gp
+    csv_path = tmp_path / "hist.csv"
+    assert csv_path.exists()
+    assert (tmp_path / "hist.gp").read_text() == (
+        "set datafile separator ','\n"
+        "set xlabel 'iteration'\n"
+        "set ylabel 'near-optimal probability'\n"
+        "set y2label 'avg Hamming distance (top 50)'\n"
+        "set y2tics\n"
+        f"plot '{csv_path}' using 1:3 with lines title 'near-opt prob', \\\n"
+        f"     '{csv_path}' using 1:4 axes x1y2 with lines title 'avg Hamming top-50'\n"
+    )
 
 
 def test_run_hybrid_depth_flag_changes_history(small_instance_path, tmp_path):
@@ -263,7 +277,14 @@ def test_bench_classical_csv(tmp_path):
     expected = scaling_benchmark([3, 4], trials=2)
     assert [(float(r[3]), float(r[4])) for r in rows[1:]] == [
         (cost, nodes) for _, _, _, cost, nodes in expected]
-    assert os.path.exists(str(tmp_path / "scaling.gp"))
+    assert (tmp_path / "scaling.gp").read_text() == (
+        "set datafile separator ','\n"
+        "set xlabel 'units'\n"
+        "set ylabel 'median wall time (ms)'\n"
+        "set logscale y\n"
+        f"plot '{out}' using 1:(strcol(2) eq 'exact' ? $3 : 1/0) with linespoints title 'exact', \\\n"
+        f"     '{out}' using 1:(strcol(2) eq 'approx' ? $3 : 1/0) with linespoints title 'approx'\n"
+    )
     out2 = str(tmp_path / "scaling2.csv")
     main(["bench-classical", "--sizes", "3,4", "--trials", "2",
           "--no-wall-times", "--out", out2])
@@ -272,7 +293,7 @@ def test_bench_classical_csv(tmp_path):
 
 def test_bench_classical_bad_sizes(capsys):
     assert main(["bench-classical", "--sizes", "3,x"]) == 2
-    assert "error:" in capsys.readouterr().err
+    _assert_one_error(capsys, "expected comma-separated integers, got '3,x'")
 
 
 # ---------------------------------------------------------------------------
@@ -454,25 +475,71 @@ def test_exit_code_count_below_one(argv, message, small_instance_path, tmp_path,
     assert message in capsys.readouterr().err
 
 
+def test_exit_code_success(capsys):
+    assert main(["solve-classical"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("commitment=") and captured.err == ""
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--gamma", "0.3", "--beta", "0.2", "--lambda1", "1e308", "--lambda2", "1", "--lambda3", "1"],
+     "cost table is not finite at PenaltyWeights(lambda1=1e+308, lambda2=1.0, lambda3=1.0) "
+     "and the given p, s1, s2"),
+    (["--gamma", "1e308", "--beta", "1e308"],
+     "phase gamma * cost is not finite: max |gamma| 1e+308 times max |cost| "),
+], ids=["weights", "gamma"])
+@pytest.mark.parametrize("shots", ["0", "300"], ids=["exact", "shots"])
+def test_exit_code_non_finite_table_or_phase(flags, message, shots, capsys):
+    # refused before the circuit runs: no RuntimeWarning (the suite fails on
+    # one) and no complaint about a nan distribution the user never passed
+    assert main(["simulate", *flags, "--shots", shots]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_exit_code_missing_file(capsys):
     assert main(["oracle", "--instance", "/nonexistent/x.json"]) == 2
-    capsys.readouterr()
+    _assert_one_error(capsys, "[Errno 2] No such file or directory: '/nonexistent/x.json'")
+
+
+def test_exit_code_unwritable_out(small_instance_path, tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "oracle.csv"
+    assert main(["oracle", "--instance", small_instance_path, "--out", str(out)]) == 2
+    _assert_one_error(capsys, f"[Errno 2] No such file or directory: '{out}'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-classical"], ["solve-classical", "--gap", "0.08"], ["oracle"],
+], ids=["solve-classical", "solve-classical-gap", "oracle"])
+def test_exit_code_overflowing_unit_cost(argv, tmp_path, capsys):
+    # the commitment covers the load, but its cost overflows: this was exit 3,
+    # "no feasible commitment covers load 1e+200", or an oracle row 1,inf,true
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps(
+        {"load": 1e200, "units": [{"p_min": 0, "p_max": 1e200, "a": 1, "b": 1, "c": 1}]}))
+    assert main([*argv, "--instance", str(path)]) == 2
+    _assert_one_error(capsys, "units[0]: cost a + b*p_max + c*p_max**2 at p_max 1e+200 is not finite")
 
 
 def test_exit_code_infeasible(capsys):
     with pytest.warns(UserWarning):
         rc = main(["solve-classical", "--load", "5000"])
     assert rc == 3
-    assert "error:" in capsys.readouterr().err
+    _assert_one_error(capsys, "no feasible commitment covers load 5000.0 (total capacity 1662.0)")
 
 
 def test_exit_code_size_guard(tmp_path, capsys):
     big = tmp_path / "big.json"
     big.write_text(serialize_instance(random_instance(21, rng=0)))
-    for argv in (["run-hybrid", "--instance", str(big), "--iterations", "5"],
-                 ["simulate", "--instance", str(big), "--gamma", "0.2", "--beta", "0.1"]):
+    for argv, message in (
+        (["run-hybrid", "--instance", str(big), "--iterations", "5"],
+         "instance has 21 units, simulator guard is 20"),
+        (["simulate", "--instance", str(big), "--gamma", "0.2", "--beta", "0.1"],
+         "cost table guard is n <= 20, got 21"),
+    ):
         assert main(argv) == 4, argv[0]
-        assert "error:" in capsys.readouterr().err
+        _assert_one_error(capsys, message)
 
 
 @pytest.mark.parametrize("n", [21, 40])

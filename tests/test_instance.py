@@ -91,6 +91,28 @@ def test_integers_past_float_range_are_rejected():
         load_instance('{"load": ' + "1" * 5000 + ', "units": []}')
 
 
+@pytest.mark.parametrize("kw", [
+    dict(p_max=1e200, b=1e200, c=0.0),
+    dict(p_max=1e200, b=1.0, c=1.0),
+    dict(p_max=1.0, a=1.7e308, b=1e308, c=0.0),
+], ids=["b*p_max", "c*p_max*p_max", "sum"])
+def test_unit_spec_rejects_overflowing_cost(kw):
+    # with a, b, c >= 0 a finite cost at p_max bounds every dispatch cost,
+    # so an infinite cost can only mean infeasible
+    with pytest.raises(ValidationError, match="cost a \\+ b\\*p_max .* is not finite"):
+        UnitSpec(**{"p_min": 0.0, "a": 1.0, **kw})
+    doc = {"load": 1.0, "units": [{"p_min": 0.0, "a": 1.0, **kw}]}
+    with pytest.raises(ValidationError, match=r"^units\[0\]: cost"):
+        load_instance(json.dumps(doc))
+
+
+def test_instance_rejects_overflowing_fleet_cost():
+    u = UnitSpec(p_min=0.0, p_max=1.0, a=1e308, b=0.0, c=0.0)
+    assert UcInstance(units=(u,), load=1.0).n == 1
+    with pytest.raises(ValidationError, match="summed cost at p_max is not finite"):
+        UcInstance(units=(u, u), load=1.0)
+
+
 def test_instance_warns_when_load_exceeds_capacity():
     u = UnitSpec(p_min=0.0, p_max=10.0, a=1.0, b=1.0, c=1.0)
     with pytest.warns(UserWarning, match="exceeds total capacity"):
