@@ -12,7 +12,9 @@ dispatch and the enumeration, so its bound is its commitment's dispatch
 cost exactly.  The first incumbent is the root relaxation rounded to a
 commitment, or all-ON when that is cheaper, so a search with a gap of a
 few percent usually stops at the root.  The report's dispatch is the row
-that priced the incumbent, so no commitment is dispatched twice.
+that priced the incumbent, so no commitment is dispatched twice.  The
+bound, the branching order and the root incumbent live in `dispatch`,
+whose near-optimal search prunes with them too.
 Also hosts the random-instance generator and the runtime-scaling
 benchmark behind `bench-classical`.
 """
@@ -29,14 +31,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dispatch import (INFEASIBLE_COST, MAX_FLOAT, DispatchSolution, _dispatch_costs,
-                       _dispatch_rows)
+from .dispatch import (OFF, ON, UNDECIDED, DispatchSolution, _branching_order, _envelope,
+                       _node_bounds, _root_incumbent)
 from .errors import InfeasibleError, ValidationError
 from .instance import Commitment, UcInstance, UnitSpec, _count, _finite_float, _finite_vector
-
-ON = 1
-OFF = 0
-UNDECIDED = -1
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -71,76 +69,16 @@ def node_lower_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
     return float(_node_bounds(inst, _envelope(inst), states[None])[0][0])
 
 
-def _envelope(inst: UcInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(knee, mean, tail price) of each unit's convex envelope, built once
-    per solve: p* = clip(sqrt(a/c), p_min, p_max), where the mean cost
-    f(p)/p is least (p_max for a linear unit), the mean cost f(p*)/p*, and
-    the marginal cost b + 2c*p* at which the tail above p* starts."""
-    a, b, c, lo, hi = inst.coeff_arrays
-    # a/c past the largest float is inf, so p* = p_max; a/p* past it is
-    # capped there, not inf
-    with np.errstate(over="ignore"):
-        ratio = np.divide(a, c, out=np.full(inst.n, math.inf), where=c > 0)
-        knee = np.minimum(np.maximum(np.sqrt(ratio), lo), hi)
-        mean = np.minimum(np.divide(a, knee, out=np.zeros(inst.n), where=knee > 0) + b + c * knee,
-                          MAX_FLOAT)
-    return knee, mean, b + 2.0 * c * knee
-
-
-def _node_bounds(inst: UcInstance, envelope: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`node_lower_bound` of every row of a ``(k, n)`` state array, and the
-    ``(k, n)`` unit powers of each row's relaxed dispatch.
-
-    An undecided unit's cost, 0 at p = 0 and a + b*p + c*p**2 on
-    [p_min, p_max], is replaced by its convex envelope (`_envelope`): the
-    chord from the origin to p*, then f itself up to p_max.  Its marginal
-    cost never falls, so the dispatch kernel prices it as two virtual
-    units, a c = 0 unit at f(p*)/p* on [0, p*] and a tail with marginal
-    b + 2c*p* + 2c*q on [0, p_max - p*], and its power is the sum of the
-    two.  Decided units keep their boxes and a [0, 0] tail.
-    The chord lies below f, so the relaxed dispatch bounds every
-    completion in exact arithmetic.  The 2n-column solve rounds apart from
-    a leaf's n-column one, so a bound with undecided units is scaled by
-    (1 - 1e-12), well above that rounding and well below any search gap.
-    Rows that are all commitments are priced by the economic dispatch's
-    own call; the two children of a node are both commitments or neither.
-    The powers of a row that cannot cover the load are meaningless."""
-    on, off = states == ON, states == OFF
-    free = ~(on | off)
-    if not free.any():
-        costs, _, p = _dispatch_costs(inst, on)
-        return costs, p
-    a, b, c, lo, hi = inst.coeff_arrays
-    knee, mean, tail_price = envelope
-    zero = np.zeros(states.shape)
-    box_lo, box_hi = np.where(on, lo, 0.0), np.where(off, 0.0, hi)
-    # each unit's box (an undecided unit's chord), then each unit's tail
-    startup = np.concatenate((np.where(on, a, 0.0), zero), axis=1)
-    price = np.concatenate((np.where(free, mean, b), zero + tail_price), axis=1)
-    curve = np.concatenate((np.where(free, 0.0, c), zero + c), axis=1)
-    col_lo = np.concatenate((box_lo, zero), axis=1)
-    col_hi = np.concatenate((np.where(free, knee, box_hi), np.where(free, hi - knee, 0.0)), axis=1)
-    p = _dispatch_rows(price, curve, col_lo, col_hi, inst.load)[0]
-    # feasibility from the n box sums, not the 2n columns' sums, which
-    # round in another order: a completion's sums lie within these, so a
-    # node called infeasible has no feasible completion
-    feasible = (box_lo.sum(axis=1) <= inst.load) & (box_hi.sum(axis=1) >= inst.load)
-    cost = (startup + price * p + curve * p * p).sum(axis=1)
-    return np.where(feasible, cost * (1.0 - 1e-12), INFEASIBLE_COST), p[:, :inst.n] + p[:, inst.n:]
-
-
 def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
     """Best-first branch and bound, stopping once the incumbent is provably
     within `gap` of the optimum: incumbent <= (1 + gap) * lower bound.
 
-    The root's relaxed dispatch is rounded to a commitment, a unit ON when
-    its relaxed power is above 0.  That commitment and all-ON are priced
-    together, and the cheaper feasible one is the first incumbent, so a
-    search whose root bound already proves it within `gap` stops with no
-    node expanded.  Every bound stays admissible, so the optimal cost is
-    what the search finds whatever its first incumbent; among commitments
-    of exactly equal cost, which one is returned can depend on it.
+    The first incumbent is `dispatch._root_incumbent`'s, the root
+    relaxation rounded or all-ON, so a search whose root bound already
+    proves it within `gap` stops with no node expanded.  Every bound stays
+    admissible, so the optimal cost is what the search finds whatever its
+    first incumbent; among commitments of exactly equal cost, which one is
+    returned can depend on it.
     The report's dispatch is the incumbent's own row of the solve that
     priced it, root pair or leaf, so the answer is not solved again; a
     row's result does not depend on the rows beside it, so it is bit for
@@ -153,31 +91,19 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
     gap = _finite_float(gap, "gap", 0)
 
     start = time.perf_counter()
-    hi = inst.coeff_arrays[4]
     envelope = _envelope(inst)
-
-    root = np.full(inst.n, UNDECIDED)
-    bounds, relaxed = _node_bounds(inst, envelope, root[None])
-    # the rounded root and all-ON, priced together; an infeasible row
-    # costs inf and is never the incumbent
-    candidates = np.array((relaxed[0] > 0.0, np.ones(inst.n, dtype=bool)))
-    costs, _, powers = _dispatch_costs(inst, candidates)
-    best = int(costs.argmin())
-    incumbent_cost = float(costs[best])
-    incumbent: Optional[Commitment] = (tuple(candidates[best].astype(int).tolist())
+    root_bound, relaxed, on, incumbent_cost, incumbent_powers = _root_incumbent(inst, envelope)
+    # an infeasible candidate costs inf and is never the incumbent
+    incumbent: Optional[Commitment] = (tuple(on.astype(int).tolist())
                                        if incumbent_cost < math.inf else None)
-    incumbent_powers = powers[best]
-
-    # the unit with the largest p_max is branched on first, lowest index
-    # first among ties; every node at depth d has fixed order[:d] exactly
-    order = sorted(range(inst.n), key=lambda i: (-hi[i], i))
+    order = _branching_order(inst)
     counter = itertools.count()
     # (bound, tie-break, depth, states, powers), keyed on the node's own
     # bound; a leaf's is its commitment's dispatch cost, and its powers
     # that dispatch.  Raising a key to the parent's bound, which can round
     # one ulp above a leaf, could pop the dearer of two tied leaves first
     # and stop there.
-    heap = [(float(bounds[0]), next(counter), 0, root, relaxed[0])]
+    heap = [(root_bound, next(counter), 0, np.full(inst.n, UNDECIDED), relaxed)]
     nodes_expanded = 0
     final_lb = math.inf
 
@@ -206,7 +132,7 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
     if incumbent is None:
         raise InfeasibleError(
             f"no feasible commitment covers load {inst.load} "
-            f"(total capacity {float(hi.sum())})"
+            f"(total capacity {float(inst.coeff_arrays[4].sum())})"
         )
     if incumbent_cost == 0.0:
         proven_gap = 0.0
@@ -261,6 +187,8 @@ def scaling_benchmark(
     medians of each report's own wall_time_s.
     """
     sizes = [_count(n, f"sizes[{i}]", 1) for i, n in enumerate(sizes)]
+    if not sizes:
+        raise ValidationError("sizes must name at least one size, got none")
     trials, gap = _count(trials, "trials", 1), _finite_float(gap, "gap", 0)
     rng = np.random.default_rng(seed)
     rows: list[tuple[int, str, float, float, float]] = []

@@ -2,12 +2,13 @@
 
 Solves the continuous dispatch induced by a fixed commitment exactly
 (equal marginal cost, found by locating the load on the piecewise-linear
-supply curve), exhaustively enumerates all commitments, and builds the
-near-optimal commitment set used by the convergence metrics.  One
-dispatch-and-cost function prices rows of ON/OFF masks, so a single
-commitment, a chunk of the enumeration and a branch-and-bound leaf share
-one solve and one cost expression; an inner branch-and-bound node is the
-same solve over the columns of its relaxation.
+supply curve), bounds partial commitments for the branch and bound,
+exhaustively enumerates all commitments, and builds the near-optimal
+commitment set used by the convergence metrics.  One dispatch-and-cost
+function prices rows of ON/OFF masks, so a single commitment, a chunk of
+the enumeration and a branch-and-bound leaf share one solve and one cost
+expression; an inner branch-and-bound node is the same solve over the
+columns of its relaxation.
 
 The solve finds the load's place on the supply curve by a k-ary search
 whose width follows the row count.  A commitment (one row) and a B&B
@@ -15,6 +16,11 @@ node's two children cost what their numpy calls cost, whatever their
 size, so they probe every breakpoint at once and search in one or two
 steps.
 An enumeration chunk (1024 rows) costs its array work, so it bisects.
+
+The near-optimal set comes from a breadth-first search of the
+branch-and-bound tree, pruned by the B&B's own bound against its root
+incumbent, not from pricing all 2**n commitments; it is the
+enumeration's set bit for bit (see `near_optimal_set`).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -204,27 +210,120 @@ def economic_dispatch(inst: UcInstance, commit: Sequence[int]) -> DispatchSoluti
 
 
 # ---------------------------------------------------------------------------
-# brute-force enumeration
+# bounds of partial commitments, shared with the branch and bound
 
-# rows per kernel call: at n = 16 a chunk's temporaries take about 3 MB,
-# which sets the peak memory of a hybrid run; larger chunks are no faster
+ON = 1
+OFF = 0
+UNDECIDED = -1
+
+
+def _envelope(inst: UcInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(knee, mean, tail price) of each unit's convex envelope, built once
+    per solve: p* = clip(sqrt(a/c), p_min, p_max), where the mean cost
+    f(p)/p is least (p_max for a linear unit), the mean cost f(p*)/p*, and
+    the marginal cost b + 2c*p* at which the tail above p* starts."""
+    a, b, c, lo, hi = inst.coeff_arrays
+    # a/c past the largest float is inf, so p* = p_max; a/p* past it is
+    # capped there, not inf
+    with np.errstate(over="ignore"):
+        ratio = np.divide(a, c, out=np.full(inst.n, math.inf), where=c > 0)
+        knee = np.minimum(np.maximum(np.sqrt(ratio), lo), hi)
+        mean = np.minimum(np.divide(a, knee, out=np.zeros(inst.n), where=knee > 0) + b + c * knee,
+                          MAX_FLOAT)
+    return knee, mean, b + 2.0 * c * knee
+
+
+def _node_bounds(inst: UcInstance, envelope: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`node_lower_bound` of every row of a ``(k, n)`` state array, and the
+    ``(k, n)`` unit powers of each row's relaxed dispatch.
+
+    An undecided unit's cost, 0 at p = 0 and a + b*p + c*p**2 on
+    [p_min, p_max], is replaced by its convex envelope (`_envelope`): the
+    chord from the origin to p*, then f itself up to p_max.  Its marginal
+    cost never falls, so the dispatch kernel prices it as two virtual
+    units, a c = 0 unit at f(p*)/p* on [0, p*] and a tail with marginal
+    b + 2c*p* + 2c*q on [0, p_max - p*], and its power is the sum of the
+    two.  Decided units keep their boxes and a [0, 0] tail.
+    The chord lies below f, so the relaxed dispatch bounds every
+    completion in exact arithmetic.  The 2n-column solve rounds apart from
+    a leaf's n-column one, so a bound with undecided units is scaled by
+    (1 - 1e-12), well above that rounding and well below any search gap.
+    Rows that are all commitments are priced by the economic dispatch's
+    own call; the two children of a node are both commitments or neither.
+    The powers of a row that cannot cover the load are meaningless."""
+    on, off = states == ON, states == OFF
+    free = ~(on | off)
+    if not free.any():
+        costs, _, p = _dispatch_costs(inst, on)
+        return costs, p
+    a, b, c, lo, hi = inst.coeff_arrays
+    knee, mean, tail_price = envelope
+    zero = np.zeros(states.shape)
+    box_lo, box_hi = np.where(on, lo, 0.0), np.where(off, 0.0, hi)
+    # each unit's box (an undecided unit's chord), then each unit's tail
+    startup = np.concatenate((np.where(on, a, 0.0), zero), axis=1)
+    price = np.concatenate((np.where(free, mean, b), zero + tail_price), axis=1)
+    curve = np.concatenate((np.where(free, 0.0, c), zero + c), axis=1)
+    col_lo = np.concatenate((box_lo, zero), axis=1)
+    col_hi = np.concatenate((np.where(free, knee, box_hi), np.where(free, hi - knee, 0.0)), axis=1)
+    p = _dispatch_rows(price, curve, col_lo, col_hi, inst.load)[0]
+    # feasibility from the n box sums, not the 2n columns' sums, which
+    # round in another order: a completion's sums lie within these, so a
+    # node called infeasible has no feasible completion
+    feasible = (box_lo.sum(axis=1) <= inst.load) & (box_hi.sum(axis=1) >= inst.load)
+    cost = (startup + price * p + curve * p * p).sum(axis=1)
+    return np.where(feasible, cost * (1.0 - 1e-12), INFEASIBLE_COST), p[:, :inst.n] + p[:, inst.n:]
+
+
+def _branching_order(inst: UcInstance) -> list[int]:
+    """Units in the order they are branched on: the largest p_max first,
+    the lowest index first among ties.  A node at depth d has fixed
+    exactly the first d of them."""
+    hi = inst.coeff_arrays[4]
+    return sorted(range(inst.n), key=lambda i: (-hi[i], i))
+
+
+def _root_incumbent(inst: UcInstance, envelope: tuple[np.ndarray, np.ndarray, np.ndarray]
+                    ) -> tuple[float, np.ndarray, np.ndarray, float, np.ndarray]:
+    """(bound, relaxed powers) of the root node, then (ON mask, cost,
+    powers) of the first incumbent: the cheaper of all-ON and the root's
+    relaxed dispatch rounded (a unit ON when its relaxed power is above
+    0), priced together as the enumeration prices them.  Its cost is inf
+    when neither is feasible."""
+    bounds, relaxed = _node_bounds(inst, envelope, np.full((1, inst.n), UNDECIDED))
+    candidates = np.array((relaxed[0] > 0.0, np.ones(inst.n, dtype=bool)))
+    costs, _, powers = _dispatch_costs(inst, candidates)
+    best = int(costs.argmin())
+    return float(bounds[0]), relaxed[0], candidates[best], float(costs[best]), powers[best]
+
+
+# ---------------------------------------------------------------------------
+# brute-force enumeration and the near-optimal set
+
+# commitment rows per kernel call: at n = 16 a chunk's temporaries take
+# about 3 MB; larger chunks are no faster
 _CHUNK_ROWS = 1 << 10
 
+# the near-optimal search splits its first levels without bounding them,
+# into _CHUNK_ROWS rows: up to 10 units those are the leaves, priced in
+# one call as the enumeration prices them
+_FIRST_DEPTH = _CHUNK_ROWS.bit_length() - 1
 
-def _enumerate_chunks(inst: UcInstance) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(costs, feasible, powers) of the 2**N commitments, chunk by chunk
-    in index order.
+# node rows per bound call: 2n columns each, so a call holds half the
+# entries of an enumeration chunk.  512 rows were no faster, and took the
+# search's peak memory at n = 16 from 1.4 to 2.6 MB.
+_BOUND_ROWS = _CHUNK_ROWS // 4
 
-    Infeasible commitments cost inf and hold zero power.
-    """
-    n = inst.n
+
+def _check_enumerable(n: int) -> None:
     if n > ENUMERATION_GUARD:
         raise SizeGuardError(f"enumeration guard is N <= {ENUMERATION_GUARD}, got {n}")
-    size = 1 << n
-    for start in range(0, size, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, size)
-        on = ((np.arange(start, stop)[:, None] >> np.arange(n)) & 1).astype(bool)
-        yield _dispatch_costs(inst, on)
+
+
+def _bits(codes: np.ndarray, n: int) -> np.ndarray:
+    """``(rows, n)`` 0/1 unit states of basis indices (unit 0 = LSB)."""
+    return (codes[:, None] >> np.arange(n)) & 1
 
 
 def enumerate_all(inst: UcInstance) -> list[tuple[Commitment, DispatchSolution]]:
@@ -234,10 +333,17 @@ def enumerate_all(inst: UcInstance) -> list[tuple[Commitment, DispatchSolution]]
     index.  Memory grows as 2**N; guarded at N <= 24 (practical use is
     N <= ~16).
     """
-    costs, feasible, powers = (np.concatenate(part) for part in zip(*_enumerate_chunks(inst)))
+    n = inst.n
+    _check_enumerable(n)
+    size = 1 << n
+    # the chunks are dropped once joined, before the 2**N solutions are built
+    chunks = (_dispatch_costs(inst, _bits(np.arange(start, min(start + _CHUNK_ROWS, size)), n)
+                              .astype(bool))
+              for start in range(0, size, _CHUNK_ROWS))
+    costs, feasible, powers = (np.concatenate(part) for part in zip(*chunks))
     return [
         (
-            index_to_bits(k, inst.n),
+            index_to_bits(k, n),
             DispatchSolution(powers=powers[k].copy(), cost=float(costs[k]),
                              feasible=bool(feasible[k])),
         )
@@ -246,14 +352,58 @@ def enumerate_all(inst: UcInstance) -> list[tuple[Commitment, DispatchSolution]]
 
 
 def near_optimal_set(inst: UcInstance, fraction: float = 0.05) -> NearOptimalSet:
-    """All feasible commitments with cost <= (1 + fraction) * optimal cost."""
+    """All feasible commitments with cost <= (1 + fraction) * optimal cost.
+
+    A breadth-first search of the branch-and-bound tree, not a pricing of
+    all 2**N commitments.  A frontier row is one basis index: at depth d
+    it has fixed the first d units of `_branching_order`, ON where its bit
+    is set.  The first min(N, 10) levels are split unbounded; below them
+    each level is bounded by `_node_bounds`, the rows bounded inf or above
+    (1 + fraction) * U are dropped, U the `_root_incumbent` cost, and the
+    rest split on the next unit.  The leaves are priced by
+    `_dispatch_costs`: the optimum is the least, the members the feasible
+    ones within the cutoff.
+
+    This is the enumeration's result bit for bit.  Every bound is
+    admissible and U >= optimal, so no ancestor of a member is dropped,
+    and a leaf's row is priced as the enumeration prices it, whatever
+    rows are beside it.  Up to 10 units the first level is the leaves,
+    one call of at most 1024 rows: the enumeration's work.  Permuted
+    copies of a member are members, so no symmetry is pruned.  The
+    frontier holds one integer per row; guarded at N <= 24 as the
+    enumeration is, for when U is inf and only infeasible rows drop.
+    """
     fraction = _finite_float(fraction, "fraction", 0)
-    # each chunk's powers are dropped as it arrives: only 2**N costs are kept
-    chunks = [chunk[:2] for chunk in _enumerate_chunks(inst)]
-    costs, feasible = (np.concatenate(part) for part in zip(*chunks))
-    if not feasible.any():
+    n = inst.n
+    _check_enumerable(n)
+    limit = math.inf  # up to _FIRST_DEPTH units nothing is bounded
+    if n > _FIRST_DEPTH:
+        envelope = _envelope(inst)
+        # an ancestor of a member bounds at most its cost, and U >= optimal
+        limit = (1.0 + fraction) * _root_incumbent(inst, envelope)[3]
+    frontier = np.zeros(1, dtype=np.intp)  # the root: no unit fixed
+    fixed = np.zeros(n, dtype=bool)
+    for depth, unit in enumerate(_branching_order(inst)):
+        if depth >= _FIRST_DEPTH:
+            kept = [frontier[:0]]
+            for start in range(0, frontier.size, _BOUND_ROWS):
+                rows = frontier[start:start + _BOUND_ROWS]
+                bounds = _node_bounds(inst, envelope, np.where(fixed, _bits(rows, n), UNDECIDED))[0]
+                kept.append(rows[(bounds <= limit) & (bounds < math.inf)])
+            frontier = np.concatenate(kept)
+        frontier = np.concatenate((frontier, frontier | (1 << unit)))
+        fixed[unit] = True
+    leaves, costs = [frontier[:0]], [np.zeros(0)]
+    for start in range(0, frontier.size, _CHUNK_ROWS):
+        rows = frontier[start:start + _CHUNK_ROWS]
+        cost, feasible, _ = _dispatch_costs(inst, _bits(rows, n).astype(bool))
+        keep = feasible & (cost <= limit)
+        leaves.append(rows[keep])
+        costs.append(cost[keep])
+    leaves, cost = np.concatenate(leaves), np.concatenate(costs)
+    if not leaves.size:
         raise InfeasibleError(f"instance {inst.name!r} has no feasible commitment")
-    optimal = float(costs.min())
+    optimal = float(cost.min())
     cutoff = (1.0 + fraction) * optimal
-    members = np.flatnonzero(feasible & (costs <= cutoff))
-    return NearOptimalSet(members=members, optimal_cost=optimal, cutoff=cutoff, n=inst.n)
+    return NearOptimalSet(members=np.sort(leaves[cost <= cutoff]), optimal_cost=optimal,
+                          cutoff=cutoff, n=n)

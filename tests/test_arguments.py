@@ -86,6 +86,13 @@ def test_count_arguments_take_numpy_integers(name):
     _COUNTS[name](np.int64(2))
 
 
+def test_scaling_benchmark_rejects_no_sizes():
+    # an empty sweep once returned no rows, and `bench-classical --sizes ,`
+    # wrote only the CSV header and exited 0
+    with pytest.raises(ValidationError, match=r"^sizes must name at least one size, got none$"):
+        scaling_benchmark([])
+
+
 def test_checked_values_are_stored_as_python_numbers():
     w = PenaltyWeights(np.float64(1.5), np.int64(2), 3)
     assert [type(v) for v in (w.lambda1, w.lambda2, w.lambda3)] == [float] * 3

@@ -296,6 +296,16 @@ def test_bench_classical_bad_sizes(capsys):
     _assert_one_error(capsys, "expected comma-separated integers, got '3,x'")
 
 
+@pytest.mark.parametrize("sizes", [",", " , "])
+def test_bench_classical_no_sizes(sizes, tmp_path, capsys):
+    # empty items are skipped, so these name no size; exit 0 with only
+    # the CSV header once
+    out = tmp_path / "scaling.csv"
+    assert main(["bench-classical", "--sizes", sizes, "--trials", "1", "--out", str(out)]) == 2
+    _assert_one_error(capsys, "sizes must name at least one size, got none")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

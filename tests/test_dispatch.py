@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import instances
 from oracles import all_commitments, bisection_dispatch_rows, check_feasible, dispatch_grid_oracle
+from ucqaoa import dispatch
 from ucqaoa.baseline import random_instance, solve_exact
 from ucqaoa.dispatch import (
     _SEARCH_ELEMENTS,
     INFEASIBLE_COST,
     _dispatch_rows,
+    _envelope,
+    _root_incumbent,
     _search_plan,
     economic_dispatch,
     enumerate_all,
@@ -467,6 +471,84 @@ def test_near_optimal_matches_enumeration(make):
 @settings(max_examples=60)
 def test_near_optimal_matches_enumeration_degenerate(inst, fraction):
     _check_against_enumeration(inst, fraction)
+
+
+# The search bounds nothing above depth 10 (`dispatch._FIRST_DEPTH`), so
+# the cases below reach its pruned levels: more than 10 units, or the
+# first level patched down to depth 2.
+
+def _wide_draw():
+    """The hybrid-wide benchmark input: 16 units, 439 members at 5%."""
+    return random_instance(16, np.random.default_rng(0))
+
+
+def _fleet(n, spread, seed):
+    """n copies of one unit (p_min 60, p_max 200, a 700, b 22, c 2e-3),
+    each parameter scaled by 1 + spread * U[-1, 1], at a load of
+    U[0.3, 0.9] of capacity."""
+    rng = np.random.default_rng(seed)
+    base = np.array([60.0, 200.0, 700.0, 22.0, 2e-3])
+    units = tuple(UnitSpec(*(base * (1.0 + spread * rng.uniform(-1.0, 1.0, 5))))
+                  for _ in range(n))
+    return UcInstance(units=units, load=rng.uniform(0.3, 0.9) * sum(u.p_max for u in units))
+
+
+def test_near_optimal_matches_enumeration_on_the_wide_draw():
+    inst = _wide_draw()
+    for fraction in (0.0, 0.05, 0.5):
+        _check_against_enumeration(inst, fraction)
+
+
+@pytest.mark.parametrize("n", [12, 13])
+@pytest.mark.parametrize("spread", [0.0, 0.01], ids=["identical", "near-identical"])
+def test_near_optimal_matches_enumeration_on_fleets(n, spread):
+    # identical units tie exactly, so every permuted copy of a member is
+    # one too (the identical fleets hold 66 and 1716 optima here)
+    inst = _fleet(n, spread, seed=10 * n + int(100 * spread))
+    for fraction in (0.0, 0.05, 0.5):
+        _check_against_enumeration(inst, fraction)
+
+
+def test_near_optimal_matches_enumeration_without_an_upper_bound():
+    # p_min at 50-90% of p_max and a load of 30% of capacity: all-ON's
+    # p_min sum is above the load and so is the rounded root's, so the
+    # search starts with U = inf and prunes only infeasible nodes
+    rng = np.random.default_rng(4)
+    p_max = rng.uniform(50.0, 500.0, 12)
+    p_min = rng.uniform(0.5, 0.9, 12) * p_max
+    coeffs = zip(rng.uniform(300.0, 1100.0, 12), rng.uniform(15.0, 30.0, 12),
+                 rng.uniform(3e-4, 8e-3, 12))
+    units = tuple(UnitSpec(lo, hi, *abc) for lo, hi, abc in zip(p_min, p_max, coeffs))
+    inst = UcInstance(units=units, load=0.3 * float(p_max.sum()))
+    assert float(p_min.sum()) > inst.load
+    assert _root_incumbent(inst, _envelope(inst))[3] == math.inf
+    for fraction in (0.0, 0.05, 0.5):
+        _check_against_enumeration(inst, fraction)
+
+
+@given(instances(degenerate=True), st.sampled_from([0.0, 0.05, 1.0]))
+@example(_inst([(40.0, 40.0, 5.0, 2.0, 0.1)] * 4, load=100.0), 0.05)  # no sum of 40s is 100
+@settings(max_examples=60)
+def test_near_optimal_matches_enumeration_degenerate_pruned(inst, fraction):
+    # with the first level at depth 2, every draw of 3 units or more is
+    # bounded and pruned from its third level down
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dispatch, "_FIRST_DEPTH", 2)
+        _check_against_enumeration(inst, fraction)
+
+
+def test_near_optimal_search_memory_on_the_wide_draw():
+    # pricing all 2**16 commitments peaked at 2.59 MB here; the search
+    # keeps its frontier as one integer per row and bounds 256 rows a call
+    inst = _wide_draw()
+    near_optimal_set(inst, 0.05)  # warm-up
+    tracemalloc.start()
+    try:
+        near_optimal_set(inst, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * (1 << inst.n)  # four 2**n float arrays
 
 
 def test_near_optimal_infeasible_instance_raises():
