@@ -51,7 +51,7 @@ from .metrics import (
     top_k,
 )
 from .neldermead import NmResult, nelder_mead
-from .qaoa import VariationalParams, qaoa_distribution, sample
+from .qaoa import qaoa_distribution, sample
 from .qubo import PenaltyWeights
 
 __version__ = "0.1.0"

@@ -134,16 +134,13 @@ def cmd_simulate(args) -> None:
         _finite_vector(_numbers(text, float) if text else getattr(theta0, name), name, inst.n, 0)
         for name, text in (("p", args.p), ("s1", args.s1), ("s2", args.s2))
     )
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, before it is simulated
-        diag = _cost_table(inst, w, p, s1, s2)
-    vp = qaoa.VariationalParams(gamma, beta)
-    if not np.isfinite(diag).all():
-        raise NonFiniteObjectiveError(f"cost table is not finite at {w} and the given p, s1, s2")
-    top_gamma, top_cost = float(np.abs(vp.gamma).max()), float(np.abs(diag).max())
+    theta = hybrid.ThetaVector(gamma, beta, p, s1, s2)
+    diag = _cost_table(inst, w, p, s1, s2)  # refuses a table that is not finite
+    top_gamma, top_cost = float(np.abs(theta.gamma).max()), float(np.abs(diag).max())
     if not math.isfinite(top_gamma * top_cost):  # bounds every phase angle gamma * diag[k]
         raise NonFiniteObjectiveError(f"phase gamma * cost is not finite: max |gamma| "
                                       f"{top_gamma!r} times max |cost| {top_cost!r}")
-    probs = qaoa.qaoa_distribution(diag, vp)
+    probs = qaoa.qaoa_distribution(diag, theta)
     if args.shots > 0:
         rng = np.random.default_rng(args.seed)
         probs = qaoa.sample(probs, args.shots, rng) / args.shots

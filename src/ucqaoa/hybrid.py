@@ -44,7 +44,7 @@ import numpy as np
 from . import metrics as _metrics
 from . import qaoa
 from .dispatch import NearOptimalSet, near_optimal_set
-from .errors import SizeGuardError, ValidationError
+from .errors import NonFiniteObjectiveError, SizeGuardError, ValidationError
 from .instance import UcInstance, _count, _finite_float, _finite_vector, index_to_string
 from .neldermead import nelder_mead
 from .qubo import PenaltyWeights, _cost_table
@@ -56,7 +56,9 @@ class ThetaVector:
 
     The p/s components live on the whole real line inside the simplex
     search; the objective maps them through abs() (an even function, so
-    the contract is directly testable) before they touch the QUBO.
+    the contract is directly testable) before they touch the QUBO.  The
+    angles, in radians, are not wrapped into [0, 2*pi): wrapping would put
+    discontinuities in the simplex's search space.
     """
 
     gamma: np.ndarray
@@ -183,25 +185,28 @@ def _evaluate(
     inst: UcInstance,
     w: PenaltyWeights,
     theta: ThetaVector,
+    ws: _Workspace,
     shots: int = 0,
     rng=None,
-    ws: Optional[_Workspace] = None,
 ) -> tuple[float, np.ndarray]:
     """Expectation at theta and the distribution it was taken over.
 
     The distribution is ``ws.next``, written in place, as is every other
-    array of the workspace; a fresh workspace is built when none is given.
-    Validates nothing: theta must be for inst.n units with finite entries.
+    array of the workspace, which must be for inst.n units.  Validates
+    nothing: theta must be for inst.n units with finite entries.
     """
-    if ws is None:
-        ws = _Workspace(inst.n)
     diag = _cost_table(inst, w, np.abs(theta.p), np.abs(theta.s1), np.abs(theta.s2),
                        out=ws.table, scratch=ws.scratch)
-    phases = _phase_table(diag, out=ws.scratch, square=ws.next)
+    try:  # the table is finite (_cost_table checks), but its mean or spread may overflow
+        with np.errstate(over="raise"):
+            phases = _phase_table(diag, out=ws.scratch, square=ws.next)
+    except FloatingPointError:
+        raise NonFiniteObjectiveError(f"standard deviation of the cost table overflows at {w} "
+                                      "and the given p, s1, s2") from None
     probs = qaoa.qaoa_distribution(phases, theta, out=ws.next, states=ws.states)
     if shots > 0:  # the phase table is spent, so its array takes the normalized copy
         np.divide(qaoa._sample_counts(probs, shots, rng, ws.scratch), shots, out=probs)
-    return qaoa.expectation(probs, diag), probs
+    return float(np.dot(probs, diag)), probs
 
 
 def objective(inst: UcInstance, w: PenaltyWeights, theta: ThetaVector) -> float:
@@ -218,7 +223,7 @@ def objective(inst: UcInstance, w: PenaltyWeights, theta: ThetaVector) -> float:
     if theta.n_units != inst.n:
         raise ValidationError(f"theta is for {theta.n_units} units, instance has {inst.n}")
     theta.__post_init__()  # its own check, again: a caller may write into its arrays
-    return _evaluate(inst, w, theta)[0]
+    return _evaluate(inst, w, theta, _Workspace(inst.n))[0]
 
 
 def initial_theta(inst: UcInstance, cfg: HybridConfig, seed=None) -> ThetaVector:
@@ -279,7 +284,7 @@ def run_hybrid(
     def fun(x: np.ndarray) -> float:
         nonlocal best_value
         proposal[:] = x
-        value, _ = _evaluate(inst, w, theta, cfg.shots, rng, ws)
+        value, _ = _evaluate(inst, w, theta, ws, cfg.shots, rng)
         if value < best_value:
             best_value = value
             ws.keep_next()

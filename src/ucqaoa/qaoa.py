@@ -9,12 +9,14 @@ rotations are applied together as one dense Kronecker block, three
 matrix products per layer in place of n per-qubit butterflies.
 
 Every kernel writes through numpy ``out=`` arguments into arrays its
-caller may supply, so a run can hold one set of 2**n buffers for all its
+caller hands it, so a run can hold one set of 2**n buffers for all its
 evaluations: a distribution array (which is also the phase angle scratch
 until the last step) and two complex state arrays that the cost phase and
-the three mixer products take turns writing.  Called without them, each
-kernel allocates its own and runs the same code, so the result is the
-same to the bit either way.
+the three mixer products take turns writing.  `qaoa_distribution` is the
+one checked entry: it checks the sizes once per circuit, whatever the
+depth, and allocates whatever its caller did not give, so the result is
+the same to the bit either way.  The per-layer kernels check and
+allocate nothing.
 
 Conventions (fixed package-wide):
   * cost phase multiplies amplitude k by exp(-1j * gamma * diag[k])
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,32 +38,6 @@ from .instance import _count, _finite_vector
 # 2**20 amplitudes (16 MB) and cost-table entries (8 MB); a hybrid run's
 # workspace of 2 complex and 4 real 2**n arrays is 64 MB there
 QUBIT_GUARD = 20
-
-
-@dataclass(frozen=True, eq=False)
-class VariationalParams:
-    """Angle vectors (gamma, beta) of equal length P >= 1, in radians.
-
-    Angles are not wrapped into [0, 2*pi); the circuit is well defined at
-    any real angle and wrapping would put discontinuities in the outer
-    optimizer's search space.
-    """
-
-    gamma: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("gamma", "beta"):
-            angles = getattr(self, name)
-            # a scalar angle is a 1-vector (np.atleast_1d would fail on a ragged list)
-            angles = _finite_vector(angles if np.iterable(angles) else [angles], name)
-            object.__setattr__(self, name, angles)
-        if self.gamma.size != self.beta.size or self.gamma.size < 1:
-            raise ValidationError("gamma and beta must be equal-length vectors, P >= 1")
-
-    @property
-    def depth(self) -> int:
-        return int(self.gamma.size)
 
 
 def _qubit_count(size: int) -> int:
@@ -80,24 +55,15 @@ def _check_size(arr, size: int, what: str) -> None:
 
 
 def apply_cost_phase(sv: np.ndarray, diag: np.ndarray, gamma: float,
-                     out: np.ndarray | None = None,
-                     angle: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray, angle: np.ndarray) -> np.ndarray:
     """amplitude[k] *= exp(-1j * gamma * diag[k]), written to ``out``.
 
     The phase angles go to the real array ``angle``, their cos and sin
     into the real and imaginary parts of the complex array ``out``, which
     sv is multiplied into; no complex exp and no complex temporaries.
-    Either array is allocated when not given; sv is left as it was.
+    Every array must be sv's size; sv is left as it was.
     """
-    size = len(sv)
-    _check_size(diag, size, "table")
-    _check_size(out, size, "out")
-    _check_size(angle, size, "angle")
-    if out is None:
-        out = np.empty(size, dtype=complex)
-    if angle is None:
-        angle = np.empty(size)
-    np.multiply(-gamma, np.asarray(diag, dtype=float), out=angle)
+    np.multiply(-gamma, diag, out=angle)
     np.cos(angle, out=out.real)
     np.sin(angle, out=out.imag)
     np.multiply(out, sv, out=out)
@@ -127,22 +93,16 @@ def _rotation_block(k: int, beta: float) -> np.ndarray:
     return table[_hamming_index(k)]
 
 
-def apply_mixer(sv: np.ndarray, beta: float, out: np.ndarray | None = None) -> np.ndarray:
+def apply_mixer(sv: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
     """exp(-1j * beta * X) on every qubit, via three Kronecker blocks.
 
     The qubits split into groups of a = n // 3 low, b = (n - a) // 2
     middle and c = n - a - b high bits; viewed as a (2**c, 2**b, 2**a)
     array the state is rotated by one matrix product per axis.  The
-    products go sv -> out -> sv -> out: with a complex ``out`` given, sv
-    is overwritten as scratch; without one, both arrays are fresh and sv
-    is left as it was.
+    products go sv -> out -> sv -> out, so sv, a complex array of a
+    power-of-two size like ``out``, is overwritten as scratch.
     """
-    n = _qubit_count(len(sv))
-    _check_size(out, len(sv), "out")
-    if out is None:
-        out, scratch = np.empty(len(sv), dtype=complex), np.empty(len(sv), dtype=complex)
-    else:
-        scratch = sv
+    n = len(sv).bit_length() - 1
     a = n // 3
     b = (n - a) // 2
     c = n - a - b
@@ -150,23 +110,24 @@ def apply_mixer(sv: np.ndarray, beta: float, out: np.ndarray | None = None) -> n
     blocks = {k: _rotation_block(k, beta) for k in {a, b, c}}  # groups of equal size share one
     # the blocks are symmetric, so the low block multiplies from the right
     np.matmul(sv.reshape(-1, 1 << a), blocks[a], out=out.reshape(-1, 1 << a))
-    np.matmul(blocks[b], out.reshape(cube), out=scratch.reshape(cube))
-    np.matmul(blocks[c], scratch.reshape(1 << c, -1), out=out.reshape(1 << c, -1))
+    np.matmul(blocks[b], out.reshape(cube), out=sv.reshape(cube))
+    np.matmul(blocks[c], sv.reshape(1 << c, -1), out=out.reshape(1 << c, -1))
     return out
 
 
-def qaoa_distribution(diag: np.ndarray, vp: VariationalParams,
-                      out: np.ndarray | None = None, states=None) -> np.ndarray:
+def qaoa_distribution(diag: np.ndarray, theta, out: np.ndarray | None = None,
+                      states=None) -> np.ndarray:
     """Basis-state probabilities after the depth-P circuit on the cost table.
 
-    Reads only ``vp.gamma`` and ``vp.beta``, so any object carrying
-    finite, equal-length angle vectors under those names will do, such as
-    a `hybrid.ThetaVector`; `VariationalParams` is the validating one.
+    Reads only ``theta.gamma`` and ``theta.beta``: a `hybrid.ThetaVector`
+    carries them validated (finite, of equal length P >= 1).
 
     The probabilities go to the real array ``out``, which holds the phase
     angles until then; ``states`` is a pair of complex arrays for the
-    state.  Whatever is not given is allocated.
+    state.  Whatever is not given is allocated.  The sizes are checked
+    here, once per circuit; the layers check nothing.
     """
+    diag = np.asarray(diag, dtype=float)
     size = len(diag)
     n = _qubit_count(size)
     _check_size(out, size, "out")
@@ -178,18 +139,11 @@ def qaoa_distribution(diag: np.ndarray, vp: VariationalParams,
         _check_size(state, size, "state")
     sv, spare = states
     sv.fill(2.0 ** (-n / 2.0))  # |+>^n, in place
-    for gamma, beta in zip(vp.gamma, vp.beta):
+    for gamma, beta in zip(theta.gamma, theta.beta):
         apply_cost_phase(sv, diag, gamma, out=spare, angle=out)
         apply_mixer(spare, beta, out=sv)
     np.abs(sv, out=out)
     return np.square(out, out=out)
-
-
-def expectation(probs: np.ndarray, diag: np.ndarray) -> float:
-    """Mean cost under the distribution: sum(probs * diag)."""
-    if len(probs) != len(diag):
-        raise ValidationError(f"distribution size {len(probs)} != table size {len(diag)}")
-    return float(np.dot(probs, diag))
 
 
 def sample(probs: np.ndarray, shots: int, seed=None) -> np.ndarray:

@@ -16,11 +16,12 @@ doublings, one over lin and one over p, in 2n numpy calls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeGuardError, ValidationError
+from .errors import NonFiniteObjectiveError, SizeGuardError, ValidationError
 from .instance import UcInstance, _finite_float
 from .qaoa import QUBIT_GUARD
 
@@ -74,30 +75,43 @@ def _cost_table(
       lin = a - 2*lambda1*L*p + lambda2*(p_min**2 - 2*d*p_min)
             + lambda3*(p_max**2 - 2*e*p_max)
     The table is written to ``out`` and S_p to ``scratch``, real 2**n
-    arrays allocated when not given.  Checks only the size guard, the
-    simulator's: the table has one entry per amplitude.  p, s1 and s2 must
-    be finite, non-negative length-n vectors and the arrays 2**n long,
-    all validated once by the caller.
+    arrays allocated when not given.  Checks the size guard, the
+    simulator's (the table has one entry per amplitude), and that every
+    entry is finite: raises NonFiniteObjectiveError naming the weights
+    otherwise, before the table reaches a circuit.  p, s1 and s2 must be
+    finite, non-negative length-n vectors and the arrays 2**n long, all
+    validated once by the caller.
     """
     n = inst.n
     if n > QUBIT_GUARD:
         raise SizeGuardError(f"cost table guard is n <= {QUBIT_GUARD}, got {n}")
     a, b, c, lo, hi = inst.coeff_arrays
     load = inst.load
-    d = p - s1
-    e = p + s2
-    const = (float(b @ p + c @ (p * p)) + w.lambda1 * load * load
-             + w.lambda2 * float(d @ d) + w.lambda3 * float(e @ e))
-    lin = (a - 2.0 * w.lambda1 * load * p + w.lambda2 * lo * (lo - 2.0 * d)
-           + w.lambda3 * hi * (hi - 2.0 * e))
     table = np.empty(1 << n) if out is None else out
     s_p = np.empty(1 << n) if scratch is None else scratch
-    table[0], s_p[0] = const, 0.0
-    for m in range(n):
-        h = 1 << m
-        np.add(table[:h], lin[m], out=table[h : 2 * h])
-        np.add(s_p[:h], p[m], out=s_p[h : 2 * h])
-    np.square(s_p, out=s_p)
-    s_p *= w.lambda1
-    table += s_p
+    # From finite inputs, numpy's first non-finite result is an overflow it
+    # raises on, so no pass over the table is needed.  Python float products
+    # overflow silently: const and the load slope are checked instead.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            d = p - s1
+            e = p + s2
+            slope = 2.0 * w.lambda1 * load
+            const = (float(b @ p + c @ (p * p)) + w.lambda1 * load * load
+                     + w.lambda2 * float(d @ d) + w.lambda3 * float(e @ e))
+            if not (math.isfinite(const) and math.isfinite(slope)):
+                raise FloatingPointError
+            lin = (a - slope * p + w.lambda2 * lo * (lo - 2.0 * d)
+                   + w.lambda3 * hi * (hi - 2.0 * e))
+            table[0], s_p[0] = const, 0.0
+            for m in range(n):
+                h = 1 << m
+                np.add(table[:h], lin[m], out=table[h : 2 * h])
+                np.add(s_p[:h], p[m], out=s_p[h : 2 * h])
+            np.square(s_p, out=s_p)
+            s_p *= w.lambda1
+            table += s_p
+    except FloatingPointError:
+        raise NonFiniteObjectiveError(
+            f"cost table is not finite at {w} and the given p, s1, s2") from None
     return table

@@ -13,6 +13,9 @@ mixer applied qubit by qubit on the uniform state, the QAOA distribution
 with every step in a fresh array, the branch-and-bound bounds column by
 column, a grid search over the dispatch, the dispatch's breakpoint by
 plain bisection, and the inverses of the CLI's instance and history I/O.
+Beside them sit three conveniences for calling the circuit's kernels
+outside a run: angles without a continuous part, and each layer into
+fresh arrays.
 """
 
 import csv
@@ -41,7 +44,8 @@ from ucqaoa.instance import (
     index_to_bits,
 )
 from ucqaoa.metrics import top_k
-from ucqaoa.qaoa import QUBIT_GUARD, _qubit_count, _rotation_block
+from ucqaoa.hybrid import ThetaVector
+from ucqaoa.qaoa import QUBIT_GUARD, _qubit_count, _rotation_block, apply_cost_phase, apply_mixer
 from ucqaoa.qubo import PenaltyWeights
 
 
@@ -512,6 +516,21 @@ def uniform_state(n: int) -> np.ndarray:
     if n < 1 or n > QUBIT_GUARD:
         raise SizeGuardError(f"qubit count must be in [1, {QUBIT_GUARD}], got {n}")
     return np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
+
+
+def circuit_angles(gamma: Sequence[float], beta: Sequence[float]) -> ThetaVector:
+    """The checked angles qaoa_distribution reads, with no units."""
+    return ThetaVector(gamma, beta, [], [], [])
+
+
+def phase_fresh(sv: np.ndarray, diag: np.ndarray, gamma: float) -> np.ndarray:
+    """apply_cost_phase into new arrays; sv is left as it was."""
+    return apply_cost_phase(sv, diag, gamma, np.empty(len(sv), dtype=complex), np.empty(len(sv)))
+
+
+def mix_fresh(sv: np.ndarray, beta: float) -> np.ndarray:
+    """apply_mixer on a copy of sv, which the kernel overwrites as scratch."""
+    return apply_mixer(np.array(sv, dtype=complex), beta, np.empty(len(sv), dtype=complex))
 
 
 def butterfly_mixer(sv: np.ndarray, beta: float) -> np.ndarray:

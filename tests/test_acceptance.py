@@ -19,9 +19,11 @@ from oracles import (
     Qubo,
     all_commitments,
     build_qubo,
+    circuit_angles,
     dispatch_grid_oracle,
     gate_decomposed_phase,
     penalized_objective,
+    phase_fresh,
     qubo_diagonal,
     qubo_to_ising,
     serialize_instance,
@@ -46,11 +48,7 @@ from ucqaoa.instance import (
     builtin_ten_unit,
     index_to_bits,
 )
-from ucqaoa.qaoa import (
-    VariationalParams,
-    apply_cost_phase,
-    qaoa_distribution,
-)
+from ucqaoa.qaoa import qaoa_distribution
 from ucqaoa.qubo import PenaltyWeights, _cost_table
 
 
@@ -192,20 +190,17 @@ def test_c04_simulator_identities():
     rng = np.random.default_rng(30_000)
 
     diag10 = rng.uniform(-1e4, 1e4, size=1 << 10)
-    zero = qaoa_distribution(diag10, VariationalParams(gamma=[0.0] * 3,
-                                                       beta=[0.0] * 3))
+    zero = qaoa_distribution(diag10, circuit_angles(gamma=[0.0] * 3, beta=[0.0] * 3))
     exact_uniform = bool(np.array_equal(zero, np.full(1 << 10, 2.0 ** -10)))
 
     constant_ok = True
     for _ in range(5):
-        vp = VariationalParams(gamma=rng.uniform(-2, 2, 2),
-                               beta=rng.uniform(-2, 2, 2))
-        probs = qaoa_distribution(np.full(64, rng.uniform(-50, 50)), vp)
+        theta = circuit_angles(gamma=rng.uniform(-2, 2, 2), beta=rng.uniform(-2, 2, 2))
+        probs = qaoa_distribution(np.full(64, rng.uniform(-50, 50)), theta)
         constant_ok &= bool(np.allclose(probs, 1 / 64, atol=1e-12))
 
-    vp8 = VariationalParams(gamma=rng.uniform(-1, 1, 8),
-                            beta=rng.uniform(-1, 1, 8))
-    norm_err = abs(qaoa_distribution(diag10, vp8).sum() - 1.0)
+    theta8 = circuit_angles(gamma=rng.uniform(-1, 1, 8), beta=rng.uniform(-1, 1, 8))
+    norm_err = abs(qaoa_distribution(diag10, theta8).sum() - 1.0)
 
     min_overlap = 1.0
     for n in range(1, 7):
@@ -219,7 +214,7 @@ def test_c04_simulator_identities():
                  quadratic=quadratic)
         sv = uniform_state(n)
         gamma = float(rng.uniform(-1.5, 1.5))
-        direct = apply_cost_phase(sv, qubo_diagonal(q), gamma)
+        direct = phase_fresh(sv, qubo_diagonal(q), gamma)
         decomposed = gate_decomposed_phase(sv, qubo_to_ising(q), gamma)
         min_overlap = min(min_overlap, float(abs(np.vdot(direct, decomposed))))
 
@@ -241,8 +236,7 @@ def test_c05_single_qubit_closed_form():
         c = float(rng.uniform(0.1, 10.0))
         gamma = float(rng.uniform(-2 * math.pi, 2 * math.pi))
         beta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-        probs = qaoa_distribution(np.array([0.0, c]),
-                                  VariationalParams(gamma=[gamma], beta=[beta]))
+        probs = qaoa_distribution(np.array([0.0, c]), circuit_angles(gamma=[gamma], beta=[beta]))
         predicted = 0.5 * (1.0 + math.sin(2 * beta) * math.sin(gamma * c))
         worst = max(worst, abs(probs[1] - predicted), abs(probs[0] - (1 - predicted)))
     ok = worst <= 1e-9

@@ -32,7 +32,7 @@ from ucqaoa.hybrid import HybridConfig, ThetaVector
 from ucqaoa.instance import UnitSpec, _finite_vector, builtin_ten_unit
 from ucqaoa.metrics import compute_snapshot, top_k
 from ucqaoa.neldermead import nelder_mead
-from ucqaoa.qaoa import VariationalParams, sample
+from ucqaoa.qaoa import sample
 from ucqaoa.qubo import PenaltyWeights
 
 _UNIFORM = np.full(4, 0.25)
@@ -107,7 +107,6 @@ def test_checked_values_are_stored_as_python_numbers():
 _PAIR = random_instance(2, rng=0)
 _PAIR_NOS = near_optimal_set(_PAIR, 1.0)
 _THETA = dict(gamma=[0.1, 0.2], beta=[0.3, 0.4], p=[1.0, 2.0], s1=[1.0, 0.0], s2=[0.0, 1.0])
-_ANGLES = dict(gamma=[0.1, 0.2], beta=[0.3, 0.4])
 _CONTINUOUS = dict(p=[1.0, 2.0], s1=[0.0, 1.0], s2=[1.0, 0.0])
 
 
@@ -120,14 +119,10 @@ def _with(make, base, name):
 # more), whether it has a floor of 0, whether its length is fixed).
 # Unchecked, a string entry gave a bare ValueError, a complex one a
 # TypeError and a ragged list numpy's "inhomogeneous shape" ValueError in
-# ThetaVector, VariationalParams, ContinuousAssignment, top_k, the metrics
-# and nelder_mead.
+# ThetaVector, ContinuousAssignment, top_k, the metrics and nelder_mead.
 _VECTORS = {
     **{f"ThetaVector.{name}": (name, _with(ThetaVector, _THETA, name), _THETA[name], False, False)
        for name in _THETA},
-    **{f"VariationalParams.{name}": (name, _with(VariationalParams, _ANGLES, name),
-                                     _ANGLES[name], False, False)
-       for name in _ANGLES},
     # unchecked, an all-nan or all -1.0 distribution of the builtin set
     # scored an average Hamming distance of 1.38 and a near-optimal
     # probability of nan, and a (2, 512) one read "distribution has 1024
@@ -227,15 +222,12 @@ def test_vector_arguments_take_lists_and_numpy_arrays(argument):
         call(value)
 
 
-def test_vector_arguments_take_bools_numpy_integers_and_scalar_angles():
+def test_vector_arguments_take_bools_and_numpy_integers():
     # commitments of bools and numpy integers are priced as 0/1 ones
     want = economic_dispatch(_PAIR, (1, 0)).cost
     for commit in ([True, False], np.array([1, 0], dtype=np.int8)):
         assert economic_dispatch(_PAIR, commit).cost == want
     assert ContinuousAssignment(p=[True], s1=[0], s2=[0]).p.tolist() == [1.0]
-    # a scalar angle is a depth-1 angle vector
-    vp = VariationalParams(0.1, np.float64(0.2))
-    assert vp.gamma.tolist() == [0.1] and vp.beta.tolist() == [0.2]
 
 
 def test_theta_vector_refuses_scalar_angles():

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -5,12 +6,21 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import ContinuousAssignment, build_qubo, qubo_diagonal, serialize_instance
+from oracles import (
+    ContinuousAssignment,
+    build_qubo,
+    circuit_angles,
+    qubo_diagonal,
+    serialize_instance,
+)
 from ucqaoa.baseline import random_instance, scaling_benchmark
 from ucqaoa.cli import main
 from ucqaoa.dispatch import enumerate_all, near_optimal_set
@@ -23,7 +33,7 @@ from ucqaoa.instance import (
     index_to_string,
     string_to_bits,
 )
-from ucqaoa.qaoa import VariationalParams, qaoa_distribution
+from ucqaoa.qaoa import qaoa_distribution
 from ucqaoa.qubo import PenaltyWeights
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,6 +130,12 @@ def test_simulate_rejects_bad_angle_list(small_instance_path, capsys):
                "--gamma", "0.3,y", "--beta", "0.1"])
     assert rc == 2
     _assert_one_error(capsys, "expected comma-separated numbers, got '0.3,y'")
+
+
+def test_simulate_rejects_angle_lists_of_unequal_length(capsys):
+    # simulate's angles are checked by ThetaVector, as a run's are
+    assert main(["simulate", "--gamma", "0.1,0.2", "--beta", "0.3"]) == 2
+    _assert_one_error(capsys, "gamma and beta must have equal length P >= 1")
 
 
 def test_simulate_explicit_continuous_part(small_instance_path, capsys):
@@ -433,7 +449,7 @@ def test_simulate_distribution_matches_matrix_qubo_oracle(tmp_path, small_instan
     for bits, prob in rows:
         written[bits_to_index(string_to_bits(bits))] = float(prob)
     diag = qubo_diagonal(build_qubo(inst, PenaltyWeights.default_for(inst), ca))
-    want = qaoa_distribution(diag, VariationalParams(gamma, beta))
+    want = qaoa_distribution(diag, circuit_angles(gamma, beta))
     assert len(rows) == 1 << inst.n
     assert np.max(np.abs(written - want)) <= 1e-12
 
@@ -506,6 +522,22 @@ def test_exit_code_non_finite_table_or_phase(flags, message, shots, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("weights,message", [
+    ("1e308", "cost table is not finite at PenaltyWeights(lambda1=1e+308, lambda2=1e+308, "
+              "lambda3=1e+308) and the given p, s1, s2"),
+    ("1e160", "standard deviation of the cost table overflows at PenaltyWeights("
+              "lambda1=1e+160, lambda2=1e+160, lambda3=1e+160) and the given p, s1, s2"),
+], ids=["table", "spread"])
+@pytest.mark.parametrize("shots", ["0", "64"], ids=["exact", "shots"])
+def test_exit_code_run_hybrid_at_extreme_weights(weights, message, shots, capsys):
+    # at 1e308 the table overflowed with four RuntimeWarnings before the run
+    # failed; at 1e160 the table was finite but its spread was not, so every
+    # phase angle was 0 and the run exited 0 reporting the uniform distribution
+    weight_flags = [f"--lambda{i}={weights}" for i in (1, 2, 3)]
+    assert main(["run-hybrid", "--iterations", "3", "--shots", shots, *weight_flags]) == 1
+    _assert_one_error(capsys, message)
 
 
 def test_exit_code_missing_file(capsys):
@@ -631,3 +663,62 @@ def test_builtin_token_matches_library(capsys):
     first = out_seeded.splitlines()[1].split(",")
     assert first[0] == "".join(str(b) for b in best_bits)
     assert float(first[1]) == pytest.approx(best_sol.cost)
+
+
+# ---------------------------------------------------------------------------
+# flags drawn across float range
+
+# 0, or a magnitude log-uniform over [1e-300, 1e300] of either sign
+_EXTREMES = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+              st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)))
+
+
+@pytest.fixture(scope="module")
+def four_unit_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "inst4.json"
+    path.write_text(serialize_instance(random_instance(4, rng=3)))
+    return str(path)
+
+
+def _values(values):
+    return ",".join(repr(v) for v in values)
+
+
+@given(data=st.data())
+@settings(max_examples=120)
+def test_circuit_commands_at_extreme_flags(four_unit_path, data):
+    command = data.draw(st.sampled_from(["simulate", "run-hybrid"]), label="command")
+    builtin = data.draw(st.booleans(), label="builtin")
+    n = 10 if builtin else 4
+    argv = [command, "--shots=" + data.draw(st.sampled_from(["0", "64"]), label="shots")]
+    if not builtin:
+        argv.append(f"--instance={four_unit_path}")
+    for name in ("lambda1", "lambda2", "lambda3"):
+        value = data.draw(st.none() | _EXTREMES, label=name)
+        if value is not None:
+            argv.append(f"--{name}={value!r}")
+    if command == "run-hybrid":
+        argv.append("--iterations=3")
+    else:
+        for name in ("gamma", "beta"):
+            argv.append(f"--{name}=" + _values(
+                data.draw(st.lists(_EXTREMES, min_size=1, max_size=2), label=name)))
+        for name in ("p", "s1", "s2"):
+            values = data.draw(st.none() | st.lists(_EXTREMES, min_size=n, max_size=n), label=name)
+            if values is not None:
+                argv.append(f"--{name}=" + _values(values))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code in (0, 1, 2, 3, 4)
+    if code == 0:
+        assert err.getvalue() == ""
+        assert "inf" not in out.getvalue() and "nan" not in out.getvalue()
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -315,7 +315,7 @@ def test_shot_mode_does_not_depend_on_cadence():
 
 
 def _fresh_distribution(inst, w, theta):
-    return hybrid._evaluate(inst, w, theta)[1]
+    return hybrid._evaluate(inst, w, theta, hybrid._Workspace(inst.n))[1]
 
 
 # Captured when nelder_mead still had tolerance stops and run_hybrid wrote
@@ -390,9 +390,9 @@ def test_evaluate_in_a_reused_workspace_matches_a_fresh_one():
     ws.scratch.fill(np.nan)
     ws.next.fill(np.nan)
     for step, (instance, weights, theta) in enumerate(steps):
-        value, probs = hybrid._evaluate(instance, weights, theta, ws=ws)
+        value, probs = hybrid._evaluate(instance, weights, theta, ws)
         assert (instance is flat) == (not ws.scratch.any()), step  # the zero phase table
-        fresh_value, fresh_probs = hybrid._evaluate(instance, weights, theta)
+        fresh_value, fresh_probs = hybrid._evaluate(instance, weights, theta, hybrid._Workspace(5))
         assert probs is ws.next
         assert repr(value) == repr(fresh_value), step
         assert probs.tobytes() == fresh_probs.tobytes(), step
@@ -405,10 +405,10 @@ def test_warm_evaluation_allocates_no_table():
     w = PenaltyWeights.default_for(inst)
     theta = _theta(inst, [0.3, 0.5], [0.2, 0.4])
     ws = hybrid._Workspace(n)
-    hybrid._evaluate(inst, w, theta, ws=ws)  # warm-up
+    hybrid._evaluate(inst, w, theta, ws)  # warm-up
     tracemalloc.start()
     try:
-        hybrid._evaluate(inst, w, theta, ws=ws)
+        hybrid._evaluate(inst, w, theta, ws)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -424,10 +424,10 @@ def test_warm_sampled_evaluation_allocates_only_the_counts():
     theta = _theta(inst, [0.3, 0.5], [0.2, 0.4])
     ws = hybrid._Workspace(n)
     rng = np.random.default_rng(0)
-    hybrid._evaluate(inst, w, theta, 1024, rng, ws)  # warm-up
+    hybrid._evaluate(inst, w, theta, ws, 1024, rng)  # warm-up
     tracemalloc.start()
     try:
-        hybrid._evaluate(inst, w, theta, 1024, rng, ws)
+        hybrid._evaluate(inst, w, theta, ws, 1024, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -435,13 +435,14 @@ def test_warm_sampled_evaluation_allocates_only_the_counts():
 
 
 def test_sampled_run_reports_a_non_finite_objective():
-    # the sampled path checks the distribution's total alone; a nan table
-    # was refused as "probs must be finite and >= 0", an argument no caller passed
+    # refused as the table is built, with no RuntimeWarning (the suite fails
+    # on one), not by the sampled path's check of the distribution's total
+    # after a full simulation
     inst = builtin_ten_unit(700.0)
     cfg = HybridConfig(max_iterations=5, shots=64, weights=PenaltyWeights(1e308, 1e308, 1e308))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteObjectiveError, match="total probability nan"):
-            run_hybrid(inst, cfg)
+    with pytest.raises(NonFiniteObjectiveError, match=r"^cost table is not finite at "
+                       r"PenaltyWeights\(lambda1=1e\+308, lambda2=1e\+308, lambda3=1e\+308\)"):
+        run_hybrid(inst, cfg)
 
 
 def test_final_distribution_survives_the_next_run():
@@ -516,16 +517,18 @@ def _check_each_vertex_is_simulated_once(monkeypatch, cfg):
 
 def test_run_hybrid_validates_only_at_the_boundary(monkeypatch):
     built = []
-    for cls in (ContinuousAssignment, qaoa.VariationalParams):
-        def counting(self, real=cls.__post_init__, name=cls.__name__):
-            built.append(name)
-            real(self)
-        monkeypatch.setattr(cls, "__post_init__", counting)
+    real_assignment = ContinuousAssignment.__post_init__
+
+    def counting(self):
+        built.append(type(self).__name__)
+        real_assignment(self)
+
+    monkeypatch.setattr(ContinuousAssignment, "__post_init__", counting)
     inst = random_instance(4, rng=2)
     run_hybrid(inst, HybridConfig(depth=2, max_iterations=20, seed=0))
     assert built == []
     # the public objective re-runs its theta's own check, once per call,
-    # and builds neither class
+    # and builds no ContinuousAssignment
     checks = 0
     real_check = ThetaVector.__post_init__
 

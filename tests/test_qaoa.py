@@ -8,21 +8,18 @@ from hypothesis import strategies as st
 from oracles import (
     Qubo,
     butterfly_mixer,
+    circuit_angles,
     gate_decomposed_phase,
+    mix_fresh,
+    phase_fresh,
     qubo_diagonal,
     qubo_to_ising,
     reference_distribution,
     uniform_state,
 )
+from ucqaoa import qaoa
 from ucqaoa.errors import SizeGuardError, ValidationError
-from ucqaoa.qaoa import (
-    VariationalParams,
-    apply_cost_phase,
-    apply_mixer,
-    expectation,
-    qaoa_distribution,
-    sample,
-)
+from ucqaoa.qaoa import qaoa_distribution, sample
 
 angles = st.floats(-2.0 * math.pi, 2.0 * math.pi)
 
@@ -43,14 +40,13 @@ def _random_qubo(rng, n):
 
 
 def test_params_validation():
-    vp = VariationalParams(gamma=[0.1, 0.2], beta=[0.3, 0.4])
-    assert vp.depth == 2
-    with pytest.raises(ValidationError):
-        VariationalParams(gamma=[0.1], beta=[0.1, 0.2])
-    with pytest.raises(ValidationError):
-        VariationalParams(gamma=[], beta=[])
-    with pytest.raises(ValidationError):
-        VariationalParams(gamma=[float("inf")], beta=[0.0])
+    # the circuit's angles are a ThetaVector's, checked when it is built
+    assert circuit_angles(gamma=[0.1, 0.2], beta=[0.3, 0.4]).depth == 2
+    for gamma, beta in (([0.1], [0.1, 0.2]), ([], [])):
+        with pytest.raises(ValidationError, match="^gamma and beta must have equal length P >= 1$"):
+            circuit_angles(gamma, beta)
+    with pytest.raises(ValidationError, match="^gamma must be finite"):
+        circuit_angles(gamma=[float("inf")], beta=[0.0])
 
 
 def test_uniform_state_amplitudes():
@@ -79,44 +75,37 @@ def test_uniform_state_guard():
 
 def test_zero_gamma_is_identity():
     sv = uniform_state(3)
-    out = apply_cost_phase(sv, np.arange(8.0), 0.0)
+    out = phase_fresh(sv, np.arange(8.0), 0.0)
     assert np.array_equal(out, sv)
 
 
 def test_constant_table_is_global_phase():
     sv = uniform_state(2)
-    out = apply_cost_phase(sv, np.full(4, 7.5), 1.3)
+    out = phase_fresh(sv, np.full(4, 7.5), 1.3)
     assert np.allclose(np.abs(out) ** 2, np.abs(sv) ** 2, atol=1e-12)
     assert np.allclose(out, sv * np.exp(-1j * 1.3 * 7.5))
 
 
 def test_phase_sign_convention():
     sv = uniform_state(1)
-    out = apply_cost_phase(sv, np.array([0.0, math.pi]), 1.0)
+    out = phase_fresh(sv, np.array([0.0, math.pi]), 1.0)
     assert out[0] == pytest.approx(sv[0])
     assert out[1] == pytest.approx(-sv[1], abs=1e-12)
 
 
-def test_phase_length_mismatch():
-    with pytest.raises(ValueError, match="table size 8 != state size 4"):
-        apply_cost_phase(uniform_state(2), np.zeros(8), 0.1)
-
-
 def _bad_out_calls():
-    sv, diag, vp = uniform_state(3), np.zeros(8), VariationalParams([0.1], [0.2])
+    diag, theta = np.zeros(8), circuit_angles([0.1], [0.2])
     return {
-        "phase-out": lambda: apply_cost_phase(sv, diag, 0.1, out=np.empty(4, complex)),
-        "phase-angle": lambda: apply_cost_phase(sv, diag, 0.1, angle=np.empty(16)),
-        "mixer-out": lambda: apply_mixer(sv, 0.2, out=np.empty(4, complex)),
-        "distribution-out": lambda: qaoa_distribution(diag, vp, out=np.empty(16)),
+        "distribution-out": lambda: qaoa_distribution(diag, theta, out=np.empty(16)),
         "distribution-states": lambda: qaoa_distribution(
-            diag, vp, states=(np.empty(8, complex), np.empty(4, complex))),
+            diag, theta, states=(np.empty(8, complex), np.empty(4, complex))),
     }
 
 
 @pytest.mark.parametrize("call", list(_bad_out_calls()))
 def test_wrong_sized_out_is_a_validation_error(call):
-    # checked at the boundary, before numpy could broadcast or raise its own error
+    # checked at the circuit's one entry, before numpy could broadcast or
+    # raise its own error; the per-layer kernels check nothing
     with pytest.raises(ValidationError, match=r"size (4|16) != state size 8"):
         _bad_out_calls()[call]()
 
@@ -126,28 +115,28 @@ def test_wrong_sized_out_is_a_validation_error(call):
 
 
 def test_zero_beta_is_identity():
-    sv = apply_cost_phase(uniform_state(3), np.arange(8.0), 0.7)
-    assert np.allclose(apply_mixer(sv, 0.0), sv)
+    sv = phase_fresh(uniform_state(3), np.arange(8.0), 0.7)
+    assert np.allclose(mix_fresh(sv, 0.0), sv)
 
 
 def test_mixer_preserves_uniform_probabilities():
     sv = uniform_state(4)
-    out = apply_mixer(sv, 1.1)
+    out = mix_fresh(sv, 1.1)
     assert np.allclose(np.abs(out) ** 2, np.full(16, 1 / 16), atol=1e-12)
 
 
 def test_mixer_single_qubit_rotation():
     sv = np.array([1.0, 0.0], dtype=complex)
-    out = apply_mixer(sv, math.pi / 2)
+    out = mix_fresh(sv, math.pi / 2)
     assert np.allclose(out, [0.0, -1j], atol=1e-12)
 
 
 @given(angles)
 @settings(max_examples=25)
 def test_mixer_pi_periodic_in_probability(beta):
-    sv = apply_cost_phase(uniform_state(3), np.arange(8.0) ** 2, 0.3)
-    p1 = np.abs(apply_mixer(sv, beta)) ** 2
-    p2 = np.abs(apply_mixer(sv, beta + math.pi)) ** 2
+    sv = phase_fresh(uniform_state(3), np.arange(8.0) ** 2, 0.3)
+    p1 = np.abs(mix_fresh(sv, beta)) ** 2
+    p2 = np.abs(mix_fresh(sv, beta + math.pi)) ** 2
     assert np.allclose(p1, p2, atol=1e-10)
 
 
@@ -157,7 +146,7 @@ def test_mixer_preserves_norm(beta):
     rng = np.random.default_rng(3)
     sv = rng.normal(size=16) + 1j * rng.normal(size=16)
     sv /= np.linalg.norm(sv)
-    out = apply_mixer(sv, beta)
+    out = mix_fresh(sv, beta)
     assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -174,7 +163,7 @@ def _random_state(seed, n):
 def test_mixer_matches_butterfly_oracle(n):
     sv = _random_state(n, n)
     for beta in MIXER_BETAS:
-        deviation = np.max(np.abs(apply_mixer(sv, beta) - butterfly_mixer(sv, beta)))
+        deviation = np.max(np.abs(mix_fresh(sv, beta) - butterfly_mixer(sv, beta)))
         assert deviation <= 1e-13, (beta, deviation)
 
 
@@ -182,7 +171,7 @@ def test_mixer_matches_butterfly_oracle(n):
 @settings(max_examples=40)
 def test_mixer_matches_butterfly_oracle_drawn(n, beta, seed):
     sv = _random_state(seed, n)
-    assert np.max(np.abs(apply_mixer(sv, beta) - butterfly_mixer(sv, beta))) <= 1e-13
+    assert np.max(np.abs(mix_fresh(sv, beta) - butterfly_mixer(sv, beta))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -191,21 +180,21 @@ def test_mixer_matches_butterfly_oracle_drawn(n, beta, seed):
 
 def test_zero_angles_give_uniform():
     diag = np.random.default_rng(0).uniform(-10, 10, size=32)
-    vp = VariationalParams(gamma=[0.0, 0.0], beta=[0.0, 0.0])
-    probs = qaoa_distribution(diag, vp)
+    theta = circuit_angles(gamma=[0.0, 0.0], beta=[0.0, 0.0])
+    probs = qaoa_distribution(diag, theta)
     assert np.allclose(probs, np.full(32, 1 / 32), atol=1e-12)
 
 
 def test_constant_diag_gives_uniform():
-    vp = VariationalParams(gamma=[0.9, -0.4], beta=[0.2, 1.7])
-    probs = qaoa_distribution(np.full(8, 3.25), vp)
+    theta = circuit_angles(gamma=[0.9, -0.4], beta=[0.2, 1.7])
+    probs = qaoa_distribution(np.full(8, 3.25), theta)
     assert np.allclose(probs, np.full(8, 1 / 8), atol=1e-10)
 
 
 def test_single_qubit_closed_form_point_mass():
     c = 4.0
-    vp = VariationalParams(gamma=[math.pi / (2 * c)], beta=[math.pi / 4])
-    probs = qaoa_distribution(np.array([0.0, c]), vp)
+    theta = circuit_angles(gamma=[math.pi / (2 * c)], beta=[math.pi / 4])
+    probs = qaoa_distribution(np.array([0.0, c]), theta)
     assert probs[1] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -213,7 +202,7 @@ def test_single_qubit_closed_form_point_mass():
 @settings(max_examples=40)
 def test_single_qubit_closed_form(c, gamma, beta):
     probs = qaoa_distribution(np.array([0.0, c]),
-                              VariationalParams(gamma=[gamma], beta=[beta]))
+                              circuit_angles(gamma=[gamma], beta=[beta]))
     predicted = 0.5 * (1.0 + math.sin(2 * beta) * math.sin(gamma * c))
     assert probs[1] == pytest.approx(predicted, abs=1e-9)
     assert probs[0] == pytest.approx(1.0 - predicted, abs=1e-9)
@@ -221,9 +210,8 @@ def test_single_qubit_closed_form(c, gamma, beta):
 
 def test_padded_zero_layer_changes_nothing():
     diag = np.random.default_rng(5).uniform(0, 20, size=16)
-    p1 = qaoa_distribution(diag, VariationalParams(gamma=[0.4], beta=[0.6]))
-    p2 = qaoa_distribution(diag, VariationalParams(gamma=[0.4, 0.0],
-                                                   beta=[0.6, 0.0]))
+    p1 = qaoa_distribution(diag, circuit_angles(gamma=[0.4], beta=[0.6]))
+    p2 = qaoa_distribution(diag, circuit_angles(gamma=[0.4, 0.0], beta=[0.6, 0.0]))
     assert np.allclose(p1, p2, atol=1e-12)
 
 
@@ -232,9 +220,9 @@ def test_padded_zero_layer_changes_nothing():
 def test_distribution_normalized_deep_circuits(depth, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
     diag = rng.uniform(-100, 100, size=64)
-    vp = VariationalParams(gamma=rng.uniform(-1, 1, size=depth),
+    theta = circuit_angles(gamma=rng.uniform(-1, 1, size=depth),
                            beta=rng.uniform(-1, 1, size=depth))
-    probs = qaoa_distribution(diag, vp)
+    probs = qaoa_distribution(diag, theta)
     assert np.all(probs >= 0)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -251,54 +239,45 @@ def test_distribution_in_a_reused_workspace_is_the_reference_bit_for_bit(n, dept
     else:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         diag = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-3, 6)
-    vp = VariationalParams(gamma=data.draw(st.lists(angles, min_size=depth, max_size=depth)),
+    theta = circuit_angles(gamma=data.draw(st.lists(angles, min_size=depth, max_size=depth)),
                            beta=data.draw(st.lists(angles, min_size=depth, max_size=depth)))
     out, states = _REUSED.setdefault(
         n, (np.empty(size), (np.empty(size, complex), np.empty(size, complex))))
-    probs = qaoa_distribution(diag, vp, out=out, states=states)
+    probs = qaoa_distribution(diag, theta, out=out, states=states)
     assert probs is out
-    expected = reference_distribution(diag, vp.gamma, vp.beta)
+    expected = reference_distribution(diag, theta.gamma, theta.beta)
     assert probs.tobytes() == expected.tobytes()
-    assert qaoa_distribution(diag, vp).tobytes() == expected.tobytes()
+    assert qaoa_distribution(diag, theta).tobytes() == expected.tobytes()
 
 
 def test_bad_table_size_rejected():
-    vp = VariationalParams(gamma=[0.1], beta=[0.1])
+    theta = circuit_angles(gamma=[0.1], beta=[0.1])
     with pytest.raises(ValidationError):
-        qaoa_distribution(np.zeros(3), vp)
+        qaoa_distribution(np.zeros(3), theta)
     with pytest.raises(SizeGuardError):
-        qaoa_distribution(np.zeros(1 << 21), vp)
+        qaoa_distribution(np.zeros(1 << 21), theta)
+
+
+def test_circuit_is_checked_once_whatever_its_depth(monkeypatch):
+    # the layers once re-checked the arrays qaoa_distribution had checked:
+    # 9 checks per circuit at P = 1 and 24 at P = 4
+    calls = []
+    for name in ("_check_size", "_qubit_count"):
+        def counting(*args, real=getattr(qaoa, name)):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(qaoa, name, counting)
+    diag = np.random.default_rng(2).uniform(-1.0, 1.0, 64)
+    counts = []
+    for depth in (1, 4):
+        calls.clear()
+        qaoa_distribution(diag, circuit_angles([0.3] * depth, [0.2] * depth))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 4
 
 
 # ---------------------------------------------------------------------------
-# expectation and sampling
-
-
-def test_expectation_uniform_is_mean():
-    diag = np.array([1.0, 2.0, 3.0, 6.0])
-    assert expectation(np.full(4, 0.25), diag) == pytest.approx(3.0)
-
-
-def test_expectation_point_mass():
-    probs = np.zeros(4)
-    probs[2] = 1.0
-    assert expectation(probs, np.array([1.0, 2.0, 3.0, 6.0])) == 3.0
-
-
-@given(st.data())
-@settings(max_examples=30)
-def test_expectation_within_bounds(data):
-    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
-    diag = rng.uniform(-50, 50, size=16)
-    vp = VariationalParams(gamma=rng.uniform(-1, 1, size=2),
-                           beta=rng.uniform(-1, 1, size=2))
-    val = expectation(qaoa_distribution(diag, vp), diag)
-    assert diag.min() - 1e-9 <= val <= diag.max() + 1e-9
-
-
-def test_expectation_length_mismatch():
-    with pytest.raises(ValidationError, match="distribution size 4 != table size 8"):
-        expectation(np.full(4, 0.25), np.zeros(8))
+# sampling
 
 
 def test_sample_point_mass():
@@ -367,7 +346,7 @@ def test_gate_decomposition_matches_direct_phase(n):
     ising = qubo_to_ising(q)
     sv = uniform_state(n)
     for gamma in rng.uniform(-1.5, 1.5, size=5):
-        direct = apply_cost_phase(sv, diag, gamma)
+        direct = phase_fresh(sv, diag, gamma)
         decomposed = gate_decomposed_phase(sv, ising, gamma)
         overlap = abs(np.vdot(direct, decomposed))
         assert overlap >= 1.0 - 1e-8
