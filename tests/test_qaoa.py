@@ -250,6 +250,33 @@ def test_distribution_in_a_reused_workspace_is_the_reference_bit_for_bit(n, dept
     assert qaoa_distribution(diag, theta).tobytes() == expected.tobytes()
 
 
+# the expectation is taken over the distribution as hybrid._evaluate takes it:
+# float(np.dot(probs, diag))
+
+
+def test_expectation_uniform_is_mean():
+    diag = np.array([1.0, 2.0, 3.0, 6.0])
+    probs = qaoa_distribution(diag, circuit_angles(gamma=[0.0], beta=[0.0]))
+    assert float(np.dot(probs, diag)) == pytest.approx(3.0)
+
+
+def test_expectation_point_mass():
+    diag = np.array([0.0, 4.0])
+    probs = qaoa_distribution(diag, circuit_angles(gamma=[math.pi / 8], beta=[math.pi / 4]))
+    assert float(np.dot(probs, diag)) == pytest.approx(4.0, abs=1e-12)
+
+
+@given(st.data())
+@settings(max_examples=30)
+def test_expectation_within_bounds(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+    diag = rng.uniform(-50, 50, size=16)
+    theta = circuit_angles(gamma=rng.uniform(-1, 1, size=2),
+                           beta=rng.uniform(-1, 1, size=2))
+    val = float(np.dot(qaoa_distribution(diag, theta), diag))
+    assert diag.min() - 1e-9 <= val <= diag.max() + 1e-9
+
+
 def test_bad_table_size_rejected():
     theta = circuit_angles(gamma=[0.1], beta=[0.1])
     with pytest.raises(ValidationError):
