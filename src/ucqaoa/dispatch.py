@@ -18,9 +18,9 @@ steps.
 An enumeration chunk (1024 rows) costs its array work, so it bisects.
 
 The near-optimal set comes from a breadth-first search of the
-branch-and-bound tree, pruned by the B&B's own bound against its root
-incumbent, not from pricing all 2**n commitments; it is the
-enumeration's set bit for bit (see `near_optimal_set`).
+branch-and-bound tree, each level pruned by the B&B's own bound against
+its root incumbent; a leaf's bound is its cost as the enumeration prices
+it, so the set is the enumeration's bit for bit (see `near_optimal_set`).
 """
 
 from __future__ import annotations
@@ -270,8 +270,10 @@ def _node_bounds(inst: UcInstance, envelope: tuple[np.ndarray, np.ndarray, np.nd
     p = _dispatch_rows(price, curve, col_lo, col_hi, inst.load)[0]
     # feasibility from the n box sums, not the 2n columns' sums, which
     # round in another order: a completion's sums lie within these, so a
-    # node called infeasible has no feasible completion
-    feasible = (box_lo.sum(axis=1) <= inst.load) & (box_hi.sum(axis=1) >= inst.load)
+    # node called infeasible has no feasible completion.  A sum past the
+    # largest float is inf, rightly above the load.
+    with np.errstate(over="ignore"):
+        feasible = (box_lo.sum(axis=1) <= inst.load) & (box_hi.sum(axis=1) >= inst.load)
     cost = (startup + price * p + curve * p * p).sum(axis=1)
     return np.where(feasible, cost * (1.0 - 1e-12), INFEASIBLE_COST), p[:, :inst.n] + p[:, inst.n:]
 
@@ -301,18 +303,13 @@ def _root_incumbent(inst: UcInstance, envelope: tuple[np.ndarray, np.ndarray, np
 # ---------------------------------------------------------------------------
 # brute-force enumeration and the near-optimal set
 
-# commitment rows per kernel call: at n = 16 a chunk's temporaries take
-# about 3 MB; larger chunks are no faster
+# commitment rows per enumeration call: at n = 16 a chunk's temporaries
+# take about 3 MB; larger chunks are no faster
 _CHUNK_ROWS = 1 << 10
 
-# the near-optimal search splits its first levels without bounding them,
-# into _CHUNK_ROWS rows: up to 10 units those are the leaves, priced in
-# one call as the enumeration prices them
-_FIRST_DEPTH = _CHUNK_ROWS.bit_length() - 1
-
-# node rows per bound call: 2n columns each, so a call holds half the
-# entries of an enumeration chunk.  512 rows were no faster, and took the
-# search's peak memory at n = 16 from 1.4 to 2.6 MB.
+# node rows per bound call of the near-optimal search, 2n columns each (n
+# at the leaves), so at most half an enumeration chunk.  512 rows were no
+# faster, and took the search's peak memory at n = 16 from 1.4 to 2.6 MB.
 _BOUND_ROWS = _CHUNK_ROWS // 4
 
 
@@ -357,53 +354,44 @@ def near_optimal_set(inst: UcInstance, fraction: float = 0.05) -> NearOptimalSet
     A breadth-first search of the branch-and-bound tree, not a pricing of
     all 2**N commitments.  A frontier row is one basis index: at depth d
     it has fixed the first d units of `_branching_order`, ON where its bit
-    is set.  The first min(N, 10) levels are split unbounded; below them
-    each level is bounded by `_node_bounds`, the rows bounded inf or above
-    (1 + fraction) * U are dropped, U the `_root_incumbent` cost, and the
-    rest split on the next unit.  The leaves are priced by
-    `_dispatch_costs`: the optimum is the least, the members the feasible
-    ones within the cutoff.
+    is set.  From the root, which `_root_incumbent` has bounded, each level
+    splits its rows on the next unit, bounds the children by `_node_bounds`
+    and drops those bounded inf or above (1 + fraction) * U, U the root
+    incumbent's cost.  At depth N every unit is fixed, so `_node_bounds`
+    prices each leaf by `_dispatch_costs`, the enumeration's own call: the
+    optimum is the least of the kept bounds, the members the leaves within
+    the cutoff.
 
     This is the enumeration's result bit for bit.  Every bound is
     admissible and U >= optimal, so no ancestor of a member is dropped,
     and a leaf's row is priced as the enumeration prices it, whatever
-    rows are beside it.  Up to 10 units the first level is the leaves,
-    one call of at most 1024 rows: the enumeration's work.  Permuted
-    copies of a member are members, so no symmetry is pruned.  The
-    frontier holds one integer per row; guarded at N <= 24 as the
-    enumeration is, for when U is inf and only infeasible rows drop.
+    rows are beside it.  Permuted copies of a member are members, so no
+    symmetry is pruned.  The frontier holds one integer per row; guarded
+    at N <= 24 as the enumeration is, for when U is inf and only
+    infeasible rows drop.
     """
     fraction = _finite_float(fraction, "fraction", 0)
     n = inst.n
     _check_enumerable(n)
-    limit = math.inf  # up to _FIRST_DEPTH units nothing is bounded
-    if n > _FIRST_DEPTH:
-        envelope = _envelope(inst)
-        # an ancestor of a member bounds at most its cost, and U >= optimal
-        limit = (1.0 + fraction) * _root_incumbent(inst, envelope)[3]
+    envelope = _envelope(inst)
+    # an ancestor of a member bounds at most its cost, and U >= optimal
+    limit = (1.0 + fraction) * _root_incumbent(inst, envelope)[3]
     frontier = np.zeros(1, dtype=np.intp)  # the root: no unit fixed
     fixed = np.zeros(n, dtype=bool)
-    for depth, unit in enumerate(_branching_order(inst)):
-        if depth >= _FIRST_DEPTH:
-            kept = [frontier[:0]]
-            for start in range(0, frontier.size, _BOUND_ROWS):
-                rows = frontier[start:start + _BOUND_ROWS]
-                bounds = _node_bounds(inst, envelope, np.where(fixed, _bits(rows, n), UNDECIDED))[0]
-                kept.append(rows[(bounds <= limit) & (bounds < math.inf)])
-            frontier = np.concatenate(kept)
+    for unit in _branching_order(inst):
         frontier = np.concatenate((frontier, frontier | (1 << unit)))
         fixed[unit] = True
-    leaves, costs = [frontier[:0]], [np.zeros(0)]
-    for start in range(0, frontier.size, _CHUNK_ROWS):
-        rows = frontier[start:start + _CHUNK_ROWS]
-        cost, feasible, _ = _dispatch_costs(inst, _bits(rows, n).astype(bool))
-        keep = feasible & (cost <= limit)
-        leaves.append(rows[keep])
-        costs.append(cost[keep])
-    leaves, cost = np.concatenate(leaves), np.concatenate(costs)
-    if not leaves.size:
+        kept, costs = [frontier[:0]], [np.zeros(0)]
+        for start in range(0, frontier.size, _BOUND_ROWS):
+            rows = frontier[start:start + _BOUND_ROWS]
+            bounds = _node_bounds(inst, envelope, np.where(fixed, _bits(rows, n), UNDECIDED))[0]
+            keep = (bounds <= limit) & (bounds < math.inf)
+            kept.append(rows[keep])
+            costs.append(bounds[keep])
+        frontier, cost = np.concatenate(kept), np.concatenate(costs)
+    if not frontier.size:
         raise InfeasibleError(f"instance {inst.name!r} has no feasible commitment")
     optimal = float(cost.min())
     cutoff = (1.0 + fraction) * optimal
-    return NearOptimalSet(members=np.sort(leaves[cost <= cutoff]), optimal_cost=optimal,
+    return NearOptimalSet(members=np.sort(frontier[cost <= cutoff]), optimal_cost=optimal,
                           cutoff=cutoff, n=n)

@@ -233,7 +233,10 @@ def initial_theta(inst: UcInstance, cfg: HybridConfig, seed=None) -> ThetaVector
     _, _, _, lo, hi = inst.coeff_arrays
     gamma = rng.uniform(0.0, np.pi / 4.0, cfg.depth)
     beta = rng.uniform(0.0, np.pi / 4.0, cfg.depth)
-    p = np.clip(inst.load * hi / hi.sum(), lo, hi)
+    # load * hi and hi.sum() may pass the largest float; fmax takes lo where
+    # the share is nan: inf/inf, or 0/0 when every p_max is 0, so p = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.fmin(np.fmax(inst.load * hi / hi.sum(), lo), hi)
     return ThetaVector(gamma=gamma, beta=beta, p=p, s1=p - lo, s2=hi - p)
 
 

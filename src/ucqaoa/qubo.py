@@ -43,18 +43,20 @@ class PenaltyWeights:
         """Load-scaled default keeping penalty and cost terms commensurate:
         each weight is 10 * max fixed cost / L**2.
 
-        Raises ValidationError when that is zero, as when every fixed cost
-        is 0 or L**2 overflows: the penalties would vanish and the
-        minimizer would settle on the infeasible all-OFF commitment.
+        Raises ValidationError unless that is a positive finite float.  At
+        0, as when every fixed cost is 0 or L**2 overflows, the penalties
+        would vanish and the minimizer would settle on the infeasible
+        all-OFF commitment; when L**2 rounds to 0 or the quotient overflows
+        there is no such float.
         """
         try:
             w = 10.0 * max(u.a for u in inst.units) / inst.load**2
-        except OverflowError:  # L**2 is past the largest float, so w rounds to 0
+        except (OverflowError, ZeroDivisionError):  # L**2 past float range, or 0
             w = 0.0
-        if w == 0.0:
+        if not 0.0 < w < math.inf:
             raise ValidationError(
-                "default penalty weights 10*max(a)/L**2 are 0 for this "
-                "instance; pass explicit weights (lambda1, lambda2, lambda3)"
+                "default penalty weights 10*max(a)/L**2 are not a positive finite float "
+                "for this instance; pass explicit weights (lambda1, lambda2, lambda3)"
             )
         return cls(lambda1=w, lambda2=w, lambda3=w)
 

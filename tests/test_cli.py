@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -709,6 +710,13 @@ def test_circuit_commands_at_extreme_flags(four_unit_path, data):
             values = data.draw(st.none() | st.lists(_EXTREMES, min_size=n, max_size=n), label=name)
             if values is not None:
                 argv.append(f"--{name}=" + _values(values))
+    _run_cleanly(argv)
+
+
+def _run_cleanly(argv):
+    """main(argv)'s exit code, once it is known to have raised no
+    RuntimeWarning and to have printed either a result free of inf and nan
+    or one error line and nothing on stdout."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -722,3 +730,47 @@ def test_circuit_commands_at_extreme_flags(four_unit_path, data):
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return code
+
+
+# ---------------------------------------------------------------------------
+# instance documents drawn across float range
+
+_FIELDS = ("p_min", "p_max", "a", "b", "c")
+
+_DOCUMENTS = st.fixed_dictionaries({
+    "load": _EXTREMES.map(abs),
+    "units": st.lists(st.fixed_dictionaries({k: _EXTREMES.map(abs) for k in _FIELDS}),
+                      min_size=1, max_size=4),
+})
+
+
+def _doc(load, *units):
+    return {"load": load, "units": [dict(zip(_FIELDS, unit)) for unit in units]}
+
+
+def _some_commitment_covers(doc):
+    """Whether some set of units has sum(p_min) <= load <= sum(p_max)."""
+    units, load = doc["units"], doc["load"]
+    return any(sum(u["p_min"] for u in on) <= load <= sum(u["p_max"] for u in on)
+               for size in range(1, len(units) + 1)
+               for on in itertools.combinations(units, size))
+
+
+@given(doc=_DOCUMENTS, weights=st.booleans())
+@example(doc=_doc(1e-170, (0, 1, 1, 1, 1)), weights=False)  # L**2 rounds to 0
+@example(doc=_doc(1e-100, (0, 1, 1e300, 1, 1)), weights=False)  # 10*max(a)/L**2 overflows
+@example(doc=_doc(1e200, (0, 1e200, 1, 1, 0), (0, 1e200, 1, 1, 0)), weights=True)  # load*p_max
+@example(doc=_doc(1, (0, 0, 1, 1, 1)), weights=False)  # no capacity: p = 0 is the one point
+@example(doc=_doc(1, (0, 1e308, 1, 0, 0), (0, 1e308, 1, 0, 0)), weights=False)  # sum(p_max)
+@settings(max_examples=200)
+def test_every_command_on_extreme_documents(tmp_path_factory, doc, weights):
+    path = tmp_path_factory.getbasetemp() / "extreme_document.json"
+    path.write_text(json.dumps(doc))
+    explicit = ["--lambda1=1", "--lambda2=1", "--lambda3=1"] if weights else []
+    for argv in (["oracle"], ["solve-classical"], ["solve-classical", "--gap=0.08"],
+                 ["simulate", "--gamma=0.3", "--beta=0.2", *explicit],
+                 ["run-hybrid", "--iterations=2", *explicit]):
+        code = _run_cleanly([*argv, f"--instance={path}"])
+        # infeasible means no set of units can carry the load, not sum(p_max) < load
+        assert code != 3 or not _some_commitment_covers(doc), argv

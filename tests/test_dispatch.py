@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import instances
 from oracles import all_commitments, bisection_dispatch_rows, check_feasible, dispatch_grid_oracle
-from ucqaoa import dispatch
 from ucqaoa.baseline import random_instance, solve_exact
 from ucqaoa.dispatch import (
     _SEARCH_ELEMENTS,
@@ -468,14 +467,11 @@ def test_near_optimal_matches_enumeration(make):
 
 
 @given(instances(degenerate=True), st.sampled_from([0.0, 0.05, 1.0]))
+@example(_inst([(40.0, 40.0, 5.0, 2.0, 0.1)] * 4, load=100.0), 0.05)  # no sum of 40s is 100
 @settings(max_examples=60)
 def test_near_optimal_matches_enumeration_degenerate(inst, fraction):
     _check_against_enumeration(inst, fraction)
 
-
-# The search bounds nothing above depth 10 (`dispatch._FIRST_DEPTH`), so
-# the cases below reach its pruned levels: more than 10 units, or the
-# first level patched down to depth 2.
 
 def _wide_draw():
     """The hybrid-wide benchmark input: 16 units, 439 members at 5%."""
@@ -523,17 +519,6 @@ def test_near_optimal_matches_enumeration_without_an_upper_bound():
     assert float(p_min.sum()) > inst.load
     assert _root_incumbent(inst, _envelope(inst))[3] == math.inf
     for fraction in (0.0, 0.05, 0.5):
-        _check_against_enumeration(inst, fraction)
-
-
-@given(instances(degenerate=True), st.sampled_from([0.0, 0.05, 1.0]))
-@example(_inst([(40.0, 40.0, 5.0, 2.0, 0.1)] * 4, load=100.0), 0.05)  # no sum of 40s is 100
-@settings(max_examples=60)
-def test_near_optimal_matches_enumeration_degenerate_pruned(inst, fraction):
-    # with the first level at depth 2, every draw of 3 units or more is
-    # bounded and pruned from its third level down
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dispatch, "_FIRST_DEPTH", 2)
         _check_against_enumeration(inst, fraction)
 
 
