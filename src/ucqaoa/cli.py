@@ -20,6 +20,7 @@ import dataclasses
 import logging
 import math
 import sys
+import warnings
 from typing import Optional, Sequence
 
 import numpy as np
@@ -365,6 +366,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_lines(show):
+    """A `warnings.showwarning` that prints each UserWarning, the kind the
+    package raises, as one ``warning: <message>`` stderr line, and hands
+    any other warning to ``show``."""
+    def hook(message, category, filename, lineno, file=None, line=None):
+        if issubclass(category, UserWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, filename, lineno, file, line)
+    return hook
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -373,7 +386,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_lines(warnings.showwarning)
+            args.func(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -10,12 +10,13 @@ the enumeration and a branch-and-bound leaf share one solve and one cost
 expression; an inner branch-and-bound node is the same solve over the
 columns of its relaxation.
 
-The solve finds the load's place on the supply curve by a k-ary search
-whose width follows the row count.  A commitment (one row) and a B&B
-node's two children cost what their numpy calls cost, whatever their
-size, so they probe every breakpoint at once and search in one or two
-steps.
-An enumeration chunk (1024 rows) costs its array work, so it bisects.
+The solve finds the load's place among the supply curve's breakpoints.
+A call small enough to hold the supply at every breakpoint in one array
+costs what its numpy calls cost, so it evaluates them all at once and
+reads the dispatch from that array: a commitment (one row), and a B&B
+node's two children up to 11 units.  A larger call searches by a k-ary
+search whose width follows the row count, and an enumeration chunk
+(1024 rows), which costs its array work, bisects.
 
 The near-optimal set comes from a breadth-first search of the
 branch-and-bound tree, each level pruned by the B&B's own bound against
@@ -64,11 +65,19 @@ class NearOptimalSet:
     n: int
 
 
-# rows * k * n, the size of one search step's temporaries, stays within
-# this wherever k >= 1 allows: two rows, a B&B node's children, search in
-# one step up to 11 columns and in two up to 32 (an inner node has two
-# columns per unit), a 1024-row enumeration chunk bisects
-_SEARCH_ELEMENTS = 512
+# A call whose supply at every breakpoint fits, rows * n * 2n elements,
+# probes them all at once: a B&B node's two children up to 11 units (an
+# inner node has two columns per unit), the root up to 16, a pair of
+# leaves up to 22.  Larger calls search in steps of at most rows * k * n
+# elements where k >= 1 allows; a 1024-row enumeration chunk bisects.  At
+# 8192 a 400-unit exact solve ran 5-14% slower, its steps wider.
+_SEARCH_ELEMENTS = 2048
+
+
+def _probes_every_breakpoint(rows: int, n: int) -> bool:
+    """Whether a call of ``rows`` rows of n columns evaluates the supply
+    at all its 2n breakpoints in one array instead of searching."""
+    return rows * n * 2 * n <= _SEARCH_ELEMENTS
 
 
 @functools.cache
@@ -113,17 +122,21 @@ def _dispatch_rows(
     with breakpoints b + 2c*lo and b + 2c*hi; a unit with c == 0 is a
     vertical jump of hi - lo at lambda == b.
 
-    A k-ary search over the sorted breakpoints finds the first one,
-    lambda*, whose supply just right of it covers the load.  Each step
-    evaluates S for every row at k equally spaced probes, in one
-    ``(rows, k, n)`` array, and advances past the blocks whose probe falls
-    short of the load; the breakpoints count as padded with copies of the
-    last one to (k + 1) ** steps slots.  S is nondecreasing, so the number
-    of breakpoints short of the load is lambda*'s index whatever k is.  k
-    sets only how many numpy calls find it, and `_search_plan` sizes it to
-    the row count: the two rows of a B&B node's children search in one or
-    two steps up to 32 columns, the 1024 rows of an enumeration chunk
-    bisect.
+    lambda* is the first sorted breakpoint whose supply just right of it
+    covers the load.  S is nondecreasing, so its index is the number of
+    breakpoints short of the load however they are counted.  A small
+    enough call (`_probes_every_breakpoint`) evaluates S at every
+    breakpoint in one ``(rows, 2n, n)`` array, counts the short ones and
+    reads the unit powers at lambda* and at the breakpoint before it from
+    that array.  A larger call runs a k-ary search: each step evaluates S
+    for every row at k equally spaced probes, in one ``(rows, k, n)``
+    array, and advances past the blocks whose probe falls short of the
+    load; the breakpoints count as padded with copies of the last one to
+    (k + 1) ** steps slots.  k sets only how many numpy calls find the
+    index, and `_search_plan` sizes it to the row count: two rows search
+    in two steps up to 84 columns, an enumeration chunk's 1024 rows
+    bisect.  The unit powers at lambda* and before it are then evaluated
+    again, by the same elementwise supply.
 
     Every unit is linear in lambda between the breakpoint before lambda*
     and lambda*, so the dispatch is the interpolation between their unit
@@ -157,18 +170,25 @@ def _dispatch_rows(
     x = np.sort(np.concatenate((lam_lo, lam_hi), axis=1), axis=1)
     last = x.shape[1] - 1
     row = np.arange(rows)[:, None]
-    below = np.zeros((rows, 1), dtype=np.intp)
-    for gap, offsets in _search_plan(rows, n):
-        # a probe past the last breakpoint reads it; +inf would make the
-        # inf * 0 of a c == 0 unit a nan
-        short = supply(x[row, np.minimum(below + offsets, last)]).sum(axis=2) < load
-        below += gap * short.sum(axis=1, keepdims=True)
-    # min() keeps rows that cannot cover the load inside the breakpoints
-    first = np.minimum(below, last)
+    # min() keeps rows that cannot cover the load inside the breakpoints;
+    # full and before are the unit powers just right of lambda* and of the
+    # breakpoint before it (the last one, unused, when lambda* is the first)
+    if _probes_every_breakpoint(rows, n):
+        every = supply(x)
+        first = np.minimum((every.sum(axis=2) < load).sum(axis=1, keepdims=True), last)
+        full, before = every[row, first][:, 0], every[row, first - 1][:, 0]
+    else:
+        below = np.zeros((rows, 1), dtype=np.intp)
+        for gap, offsets in _search_plan(rows, n):
+            # a probe past the last breakpoint reads it; +inf would make the
+            # inf * 0 of a c == 0 unit a nan
+            short = supply(x[row, np.minimum(below + offsets, last)]).sum(axis=2) < load
+            below += gap * short.sum(axis=1, keepdims=True)
+        first = np.minimum(below, last)
+        full, before = supply(x[row, first])[:, 0], supply(x[row, first - 1])[:, 0]
 
     lam = x[row, first]
-    start = np.where(first > 0, supply(x[row, first - 1])[:, 0], lo)  # all at lo below the first
-    full = supply(lam)[:, 0]  # just right of lambda*
+    start = np.where(first > 0, before, lo)  # all at lo below the first
     end = np.where(lam <= lam_lo, lo, full)  # just left of lambda*
     s_start = start.sum(axis=1, keepdims=True)
     rise = end.sum(axis=1, keepdims=True) - s_start

@@ -188,21 +188,24 @@ def _evaluate(
     ws: _Workspace,
     shots: int = 0,
     rng=None,
+    vectors: str = "the given p, s1, s2",
 ) -> tuple[float, np.ndarray]:
     """Expectation at theta and the distribution it was taken over.
 
     The distribution is ``ws.next``, written in place, as is every other
     array of the workspace, which must be for inst.n units.  Validates
-    nothing: theta must be for inst.n units with finite entries.
+    nothing: theta must be for inst.n units with finite entries.  A
+    NonFiniteObjectiveError names ``vectors`` as where theta's p, s1 and
+    s2 came from.
     """
     diag = _cost_table(inst, w, np.abs(theta.p), np.abs(theta.s1), np.abs(theta.s2),
-                       out=ws.table, scratch=ws.scratch)
+                       out=ws.table, scratch=ws.scratch, vectors=vectors)
     try:  # the table is finite (_cost_table checks), but its mean or spread may overflow
         with np.errstate(over="raise"):
             phases = _phase_table(diag, out=ws.scratch, square=ws.next)
     except FloatingPointError:
         raise NonFiniteObjectiveError(f"standard deviation of the cost table overflows at {w} "
-                                      "and the given p, s1, s2") from None
+                                      f"and {vectors}") from None
     probs = qaoa.qaoa_distribution(phases, theta, out=ws.next, states=ws.states)
     if shots > 0:  # the phase table is spent, so its array takes the normalized copy
         np.divide(qaoa._sample_counts(probs, shots, rng, ws.scratch), shots, out=probs)
@@ -287,7 +290,7 @@ def run_hybrid(
     def fun(x: np.ndarray) -> float:
         nonlocal best_value
         proposal[:] = x
-        value, _ = _evaluate(inst, w, theta, ws, cfg.shots, rng)
+        value, _ = _evaluate(inst, w, theta, ws, cfg.shots, rng, "the optimizer's p, s1, s2")
         if value < best_value:
             best_value = value
             ws.keep_next()

@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +29,18 @@ import numpy as np
 from .errors import ValidationError
 
 Commitment = tuple[int, ...]
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def _warn(message: str) -> None:
+    """A UserWarning attributed to the first caller outside this package,
+    past a dataclass's generated ``__init__`` (file ``<string>``)."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and (frame.f_code.co_filename == "<string>"
+                                        or frame.f_code.co_filename.startswith(_PACKAGE_DIR)):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,11 +88,8 @@ class UcInstance:
             raise ValidationError("the units' summed cost at p_max is not finite")
         cap = sum(u.p_max for u in self.units)
         if self.load > cap:
-            warnings.warn(
-                f"load {self.load} MW exceeds total capacity {cap} MW; "
-                "no feasible commitment exists",
-                stacklevel=2,
-            )
+            _warn(f"load {self.load} MW exceeds total capacity {cap} MW; "
+                  "no feasible commitment exists")
 
     @property
     def n(self) -> int:

@@ -64,6 +64,7 @@ class PenaltyWeights:
 def _cost_table(
     inst: UcInstance, w: PenaltyWeights, p: np.ndarray, s1: np.ndarray, s2: np.ndarray,
     out: np.ndarray | None = None, scratch: np.ndarray | None = None,
+    vectors: str = "the given p, s1, s2",
 ) -> np.ndarray:
     """Cost table over all 2**n bitstrings at fixed (p, s1, s2): entry k is
     the penalized objective of the commitment whose unit-i bit is bit i of
@@ -79,10 +80,11 @@ def _cost_table(
     The table is written to ``out`` and S_p to ``scratch``, real 2**n
     arrays allocated when not given.  Checks the size guard, the
     simulator's (the table has one entry per amplitude), and that every
-    entry is finite: raises NonFiniteObjectiveError naming the weights
-    otherwise, before the table reaches a circuit.  p, s1 and s2 must be
-    finite, non-negative length-n vectors and the arrays 2**n long, all
-    validated once by the caller.
+    entry is finite: otherwise, before the table reaches a circuit, raises
+    NonFiniteObjectiveError naming the weights and ``vectors``, which says
+    where p, s1 and s2 came from.  p, s1 and s2 must be finite,
+    non-negative length-n vectors and the arrays 2**n long, all validated
+    once by the caller.
     """
     n = inst.n
     if n > QUBIT_GUARD:
@@ -115,5 +117,5 @@ def _cost_table(
             table += s_p
     except FloatingPointError:
         raise NonFiniteObjectiveError(
-            f"cost table is not finite at {w} and the given p, s1, s2") from None
+            f"cost table is not finite at {w} and {vectors}") from None
     return table

@@ -527,9 +527,9 @@ def test_exit_code_non_finite_table_or_phase(flags, message, shots, capsys):
 
 @pytest.mark.parametrize("weights,message", [
     ("1e308", "cost table is not finite at PenaltyWeights(lambda1=1e+308, lambda2=1e+308, "
-              "lambda3=1e+308) and the given p, s1, s2"),
+              "lambda3=1e+308) and the optimizer's p, s1, s2"),
     ("1e160", "standard deviation of the cost table overflows at PenaltyWeights("
-              "lambda1=1e+160, lambda2=1e+160, lambda3=1e+160) and the given p, s1, s2"),
+              "lambda1=1e+160, lambda2=1e+160, lambda3=1e+160) and the optimizer's p, s1, s2"),
 ], ids=["table", "spread"])
 @pytest.mark.parametrize("shots", ["0", "64"], ids=["exact", "shots"])
 def test_exit_code_run_hybrid_at_extreme_weights(weights, message, shots, capsys):
@@ -566,10 +566,26 @@ def test_exit_code_overflowing_unit_cost(argv, tmp_path, capsys):
 
 
 def test_exit_code_infeasible(capsys):
-    with pytest.warns(UserWarning):
-        rc = main(["solve-classical", "--load", "5000"])
-    assert rc == 3
-    _assert_one_error(capsys, "no feasible commitment covers load 5000.0 (total capacity 1662.0)")
+    assert main(["solve-classical", "--load", "5000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("warning: load 5000.0 MW exceeds total capacity 1662.0 MW; no feasible "
+                            "commitment exists\nerror: no feasible commitment covers load 5000.0 "
+                            "(total capacity 1662.0)\n")
+
+
+@pytest.mark.parametrize("command,code", [("solve-classical", 3), ("oracle", 0)])
+def test_package_warning_is_one_stderr_line(command, code, tmp_path, capsys):
+    # this printed "<string>:6: UserWarning: ...", pointing into the
+    # dataclass's generated __init__
+    path = tmp_path / "no_capacity.json"
+    path.write_text(json.dumps(_doc(1, (0, 0, 1, 1, 1))))
+    assert main([command, "--instance", str(path)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == ("warning: load 1.0 MW exceeds total capacity 0.0 MW; "
+                      "no feasible commitment exists")
+    assert err[1:] == (["error: no feasible commitment covers load 1.0 (total capacity 0.0)"]
+                       if code else [])
 
 
 def test_exit_code_size_guard(tmp_path, capsys):
@@ -716,7 +732,8 @@ def test_circuit_commands_at_extreme_flags(four_unit_path, data):
 def _run_cleanly(argv):
     """main(argv)'s exit code, once it is known to have raised no
     RuntimeWarning and to have printed either a result free of inf and nan
-    or one error line and nothing on stdout."""
+    or one error line and nothing on stdout, after at most the one warning
+    line of a load above capacity."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -724,12 +741,16 @@ def _run_cleanly(argv):
         code = main(argv)
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert code in (0, 1, 2, 3, 4)
+    lines = err.getvalue().splitlines(keepends=True)
+    if lines and lines[0].startswith("warning: load "):
+        assert "exceeds total capacity" in lines.pop(0)
+    errors = "".join(lines)
     if code == 0:
-        assert err.getvalue() == ""
+        assert errors == ""
         assert "inf" not in out.getvalue() and "nan" not in out.getvalue()
     else:
         assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert errors.startswith("error: ") and errors.count("\n") == 1
     return code
 
 

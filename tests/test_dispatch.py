@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import instances
 from oracles import all_commitments, bisection_dispatch_rows, check_feasible, dispatch_grid_oracle
+from ucqaoa import dispatch
 from ucqaoa.baseline import random_instance, solve_exact
 from ucqaoa.dispatch import (
     _SEARCH_ELEMENTS,
     INFEASIBLE_COST,
     _dispatch_rows,
     _envelope,
+    _probes_every_breakpoint,
     _root_incumbent,
     _search_plan,
     economic_dispatch,
@@ -217,6 +219,10 @@ def test_economic_dispatch_accepts_numpy_ints_and_bools():
 
 _ROW_COUNTS = (1, 2, 7, 64, 1024)
 
+# column counts of the bisection comparison; at 33 one row no longer
+# probes every breakpoint at once
+_WIDTHS = (*range(1, 25), 33)
+
 
 def _degenerate_boxes(rng, rows, n):
     """(b, c, lo, hi) of ``rows`` rows of n units, with the cases the
@@ -256,9 +262,11 @@ def _loads(b, c, lo, hi):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("rows", _ROW_COUNTS)
 def test_search_matches_bisection_bit_for_bit(rows):
-    # every (rows, n) here runs its own k and step count, padding included
+    # every (rows, n) here probes every breakpoint at once or runs its own
+    # k and step count, padding included; each row count takes both paths
+    assert {_probes_every_breakpoint(rows, n) for n in _WIDTHS} == {True, False}
     rng = np.random.default_rng(rows)
-    for n in range(1, 25):
+    for n in _WIDTHS:
         b, c, lo, hi = _degenerate_boxes(rng, rows, n)
         for load in _loads(b, c, lo, hi):
             powers, feasible = _dispatch_rows(b, c, lo, hi, load)
@@ -285,6 +293,34 @@ def test_search_plan_serves_its_callers():
     assert len(_search_plan(2, 10)) == len(_search_plan(1, 10)) == 1
     assert all(len(_search_plan(2, n)) <= 2 for n in range(1, 25))
     assert all(len(_search_plan(1024, n)[0][1]) == 1 for n in range(1, 25))
+
+
+def _takes_one_probe(monkeypatch, rows, n):
+    """Whether `_dispatch_rows` solves ``rows`` rows of n columns without
+    consulting `_search_plan`, checked against `_probes_every_breakpoint`."""
+    planned = []
+    monkeypatch.setattr(dispatch, "_search_plan",
+                        lambda *shape: planned.append(shape) or _search_plan(*shape))
+    b, c, lo, hi = _degenerate_boxes(np.random.default_rng(rows), rows, n)
+    _dispatch_rows(b, c, lo, hi, 0.5 * float(lo[0].sum() + hi[0].sum()))
+    monkeypatch.undo()
+    assert _probes_every_breakpoint(rows, n) == (not planned), (rows, n)
+    return not planned
+
+
+def test_small_calls_probe_every_breakpoint_at_once(monkeypatch):
+    # at n units a B&B node's two children are 2 rows of 2n columns, the
+    # root 1 row of 2n, a pair of leaves 2 rows of n
+    units = range(1, 25)
+    assert [n for n in units if _takes_one_probe(monkeypatch, 2, 2 * n)] == list(range(1, 12))
+    assert [n for n in units if _takes_one_probe(monkeypatch, 1, 2 * n)] == list(range(1, 17))
+    assert [n for n in units if _takes_one_probe(monkeypatch, 2, n)] == list(range(1, 23))
+    # the near-optimal search bounds 256 rows from 8 units on (2n columns
+    # inside, n at the leaves); the enumeration prices 1024 from 10 units
+    assert not any(_takes_one_probe(monkeypatch, 256, m) for n in range(8, 25) for m in (n, 2 * n))
+    assert not any(_takes_one_probe(monkeypatch, 1024, n) for n in range(10, 25))
+    # a node's children at 400 and 1600 units bisect
+    assert all(len(_search_plan(2, 2 * n)[0][1]) == 1 for n in (400, 1600))
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,18 @@ def test_instance_warns_when_load_exceeds_capacity():
         UcInstance(units=(u,), load=11.0)
 
 
+def test_capacity_warning_points_at_the_callers_line():
+    # it pointed into the dataclass's generated __init__, "<string>:6"
+    u = UnitSpec(p_min=0.0, p_max=10.0, a=1.0, b=1.0, c=1.0)
+    for build in (lambda: UcInstance(units=(u,), load=11.0),
+                  lambda: builtin_ten_unit(5000.0),
+                  lambda: builtin_ten_unit().with_load(5000.0)):
+        with pytest.warns(UserWarning, match="exceeds total capacity") as caught:
+            build()
+        where = [(w.filename, w.lineno) for w in caught]
+        assert where == [(__file__, build.__code__.co_firstlineno)]
+
+
 # ---------------------------------------------------------------------------
 # bit order: unit 0 is the least significant bit, strings unit-0-first
 
