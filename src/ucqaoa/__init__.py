@@ -8,7 +8,6 @@ enumeration provide ground truth.
 
 from .baseline import (
     SolveReport,
-    node_lower_bound,
     random_instance,
     scaling_benchmark,
     solve_approx,

@@ -34,7 +34,7 @@ import numpy as np
 from .dispatch import (OFF, ON, UNDECIDED, DispatchSolution, _branching_order, _envelope,
                        _node_bounds, _root_incumbent)
 from .errors import InfeasibleError, ValidationError
-from .instance import Commitment, UcInstance, UnitSpec, _count, _finite_float, _finite_vector
+from .instance import Commitment, UcInstance, UnitSpec, _count, _finite_float
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -44,29 +44,6 @@ class SolveReport:
     proven_gap: float
     nodes_expanded: int
     wall_time_s: float
-
-
-def node_lower_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
-    """Admissible bound: startup costs of fixed-ON units plus the cost of a
-    relaxed dispatch in which each undecided unit may generate anywhere in
-    [0, p_max], priced by the convex envelope of its cost (0 at p = 0,
-    a + b*p + c*p**2 on [p_min, p_max]) and scaled by (1 - 1e-12).
-    Infinite when the node's boxes cannot cover the load.
-
-    A fully fixed node has no relaxation left, so its bound is the
-    economic dispatch cost of its commitment, bit for bit: both are rows
-    of the same dispatch-and-cost solve.  This is the one-row call of the
-    sibling bound `solve_approx` uses, so a node is bounded identically
-    alone and beside its sibling.  Every entry must be UNDECIDED, OFF or
-    ON."""
-    states = _finite_vector(fixed, "node states", inst.n)
-    known = (states == UNDECIDED) | (states == OFF) | (states == ON)
-    if not known.all():
-        raise ValidationError(
-            f"node states must be {UNDECIDED} (undecided), {OFF} (OFF) or {ON} (ON), "
-            f"got {states[~known].tolist()}"
-        )
-    return float(_node_bounds(inst, _envelope(inst), states[None])[0][0])
 
 
 def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
@@ -161,7 +138,7 @@ def random_instance(n: int, rng=None) -> UcInstance:
     b ~ U[15, 30], c ~ U[3e-4, 8e-3], load = half of total capacity.
     """
     n = _count(n, "n", 1)
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator is returned as is, so streams are shared
     p_max = rng.uniform(50.0, 500.0, n)
     p_min = rng.uniform(0.1, 0.4, n) * p_max
     a = rng.uniform(300.0, 1100.0, n)

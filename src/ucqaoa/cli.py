@@ -60,13 +60,15 @@ def _fmt(x: float) -> str:
 
 
 def _load_instance(args) -> UcInstance:
-    if args.instance == BUILTIN_TOKEN:
-        inst = builtin_ten_unit()
-    else:
-        inst = load_instance_file(args.instance)
-    if getattr(args, "load", None) is not None:
-        inst = inst.with_load(args.load)
-    return inst
+    """The named instance, at --load when it is given.  Only the load the
+    command solves at is checked against capacity."""
+    load = getattr(args, "load", None)
+    with warnings.catch_warnings():
+        if load is not None:
+            warnings.filterwarnings("ignore", "load .* MW exceeds total capacity")
+        inst = (builtin_ten_unit() if args.instance == BUILTIN_TOKEN
+                else load_instance_file(args.instance))
+    return inst if load is None else inst.with_load(load)
 
 
 def _weights(args, inst: UcInstance) -> PenaltyWeights:

@@ -8,7 +8,8 @@ commitment set used by the convergence metrics.  One dispatch-and-cost
 function prices rows of ON/OFF masks, so a single commitment, a chunk of
 the enumeration and a branch-and-bound leaf share one solve and one cost
 expression; an inner branch-and-bound node is the same solve over the
-columns of its relaxation.
+columns of its relaxation.  Whether a row can meet the load is one rule
+on its unit boxes (`_covers_load`), apart from the solve.
 
 The solve finds the load's place among the supply curve's breakpoints.
 A call small enough to hold the supply at every breakpoint in one array
@@ -113,7 +114,7 @@ def _dispatch_rows(
     lo: np.ndarray,
     hi: np.ndarray,
     load: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Exact economic dispatch of every row of ``(rows, n)`` boxes.
 
     Per row, minimizes sum(b*p + c*p**2) s.t. sum(p) = load, lo <= p <= hi.
@@ -150,8 +151,8 @@ def _dispatch_rows(
     units both have c below about 1e-308 and b near 0, the dispatch can
     miss the optimum by about 1e-307 in absolute cost.
 
-    Returns ``(powers, feasible)``; the powers of a row whose boxes cannot
-    cover the load are meaningless.
+    Returns the ``(rows, n)`` powers; those of a row whose boxes cannot
+    cover the load (`_covers_load`) are meaningless.
     """
     rows, n = lo.shape
     lam_lo = b + 2.0 * c * lo
@@ -197,8 +198,14 @@ def _dispatch_rows(
     room = full - end
     left = load - p.sum(axis=1, keepdims=True)
     p += np.clip(left - (np.cumsum(room, axis=1) - room), 0.0, room)
-    feasible = (lo.sum(axis=1) <= load) & (hi.sum(axis=1) >= load)
-    return p, feasible
+    return p
+
+
+# A sum past the largest float is inf, rightly above the load.
+@np.errstate(over="ignore")
+def _covers_load(lo: np.ndarray, hi: np.ndarray, load: float) -> np.ndarray:
+    """Which rows of ``(rows, n)`` unit boxes can meet the load."""
+    return (lo.sum(axis=1) <= load) & (hi.sum(axis=1) >= load)
 
 
 def _dispatch_costs(inst: UcInstance, on: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -210,7 +217,9 @@ def _dispatch_costs(inst: UcInstance, on: np.ndarray) -> tuple[np.ndarray, np.nd
     leaf alike.  Infeasible rows cost inf and hold zero power.
     """
     a, b, c, lo, hi = inst.coeff_arrays
-    p, feasible = _dispatch_rows(b, c, np.where(on, lo, 0.0), np.where(on, hi, 0.0), inst.load)
+    box_lo, box_hi = np.where(on, lo, 0.0), np.where(on, hi, 0.0)
+    p = _dispatch_rows(b, c, box_lo, box_hi, inst.load)
+    feasible = _covers_load(box_lo, box_hi, inst.load)
     p[~feasible] = 0.0
     cost = (np.where(on, a, 0.0) + b * p + c * p * p).sum(axis=1)
     return np.where(feasible, cost, INFEASIBLE_COST), feasible, p
@@ -255,7 +264,8 @@ def _envelope(inst: UcInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _node_bounds(inst: UcInstance, envelope: tuple[np.ndarray, np.ndarray, np.ndarray],
                  states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`node_lower_bound` of every row of a ``(k, n)`` state array, and the
+    """Admissible bound of every row of a ``(k, n)`` array of UNDECIDED,
+    OFF and ON states, inf where its boxes cannot cover the load, and the
     ``(k, n)`` unit powers of each row's relaxed dispatch.
 
     An undecided unit's cost, 0 at p = 0 and a + b*p + c*p**2 on
@@ -270,8 +280,11 @@ def _node_bounds(inst: UcInstance, envelope: tuple[np.ndarray, np.ndarray, np.nd
     a leaf's n-column one, so a bound with undecided units is scaled by
     (1 - 1e-12), well above that rounding and well below any search gap.
     Rows that are all commitments are priced by the economic dispatch's
-    own call; the two children of a node are both commitments or neither.
-    The powers of a row that cannot cover the load are meaningless."""
+    own call, so a leaf's bound is its dispatch cost bit for bit; the two
+    children of a node are both commitments or neither.  Feasibility is
+    read from the n unit boxes, not the 2n columns, whose sums round in
+    another order: a completion's sums lie within these.  The powers of a
+    row that cannot cover the load are meaningless."""
     on, off = states == ON, states == OFF
     free = ~(on | off)
     if not free.any():
@@ -287,13 +300,8 @@ def _node_bounds(inst: UcInstance, envelope: tuple[np.ndarray, np.ndarray, np.nd
     curve = np.concatenate((np.where(free, 0.0, c), zero + c), axis=1)
     col_lo = np.concatenate((box_lo, zero), axis=1)
     col_hi = np.concatenate((np.where(free, knee, box_hi), np.where(free, hi - knee, 0.0)), axis=1)
-    p = _dispatch_rows(price, curve, col_lo, col_hi, inst.load)[0]
-    # feasibility from the n box sums, not the 2n columns' sums, which
-    # round in another order: a completion's sums lie within these, so a
-    # node called infeasible has no feasible completion.  A sum past the
-    # largest float is inf, rightly above the load.
-    with np.errstate(over="ignore"):
-        feasible = (box_lo.sum(axis=1) <= inst.load) & (box_hi.sum(axis=1) >= inst.load)
+    p = _dispatch_rows(price, curve, col_lo, col_hi, inst.load)
+    feasible = _covers_load(box_lo, box_hi, inst.load)
     cost = (startup + price * p + curve * p * p).sum(axis=1)
     return np.where(feasible, cost * (1.0 - 1e-12), INFEASIBLE_COST), p[:, :inst.n] + p[:, inst.n:]
 

@@ -13,9 +13,9 @@ mixer applied qubit by qubit on the uniform state, the QAOA distribution
 with every step in a fresh array, the branch-and-bound bounds column by
 column, a grid search over the dispatch, the dispatch's breakpoint by
 plain bisection, and the inverses of the CLI's instance and history I/O.
-Beside them sit three conveniences for calling the circuit's kernels
-outside a run: angles without a continuous part, and each layer into
-fresh arrays.
+Beside them sit conveniences for calling the package's kernels outside
+a run: angles without a continuous part, each circuit layer into fresh
+arrays, and the branch-and-bound bound of one node.
 """
 
 import csv
@@ -33,6 +33,8 @@ from ucqaoa.dispatch import (
     NearOptimalSet,
     _dispatch_costs,
     _dispatch_rows,
+    _envelope,
+    _node_bounds,
 )
 from ucqaoa.errors import SizeGuardError, ValidationError
 from ucqaoa.instance import (
@@ -149,6 +151,11 @@ def all_commitments(n: int) -> Iterator[Commitment]:
         yield index_to_bits(k, n)
 
 
+def node_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
+    """`dispatch._node_bounds` of one node, its envelope built for the call."""
+    return float(_node_bounds(inst, _envelope(inst), np.array([fixed]))[0][0])
+
+
 def single_node_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
     """The branch-and-bound bound of one node, solved on its own.
 
@@ -172,7 +179,7 @@ def single_node_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
         return math.inf
     if UNDECIDED not in states:
         b_row, c_row = np.array(b), np.array(c)
-        powers = _dispatch_rows(b_row[None], c_row[None], box_lo[None], box_hi[None], inst.load)[0][0]
+        powers = _dispatch_rows(b_row[None], c_row[None], box_lo[None], box_hi[None], inst.load)[0]
         startup = np.array([a[i] if s == ON else 0.0 for i, s in enumerate(states)])
         return float((startup + b_row * powers + c_row * powers * powers).sum())
     heads, tails = [], []  # (startup, price, curvature, lo, hi) of each column
@@ -187,7 +194,7 @@ def single_node_bound(inst: UcInstance, fixed: Sequence[int]) -> float:
             heads.append((a[i] if s == ON else 0.0, b[i], c[i], box_lo[i], box_hi[i]))
             tails.append((0.0, tail_price, c[i], 0.0, 0.0))
     startup, price, curve, col_lo, col_hi = np.array(heads + tails).T
-    powers = _dispatch_rows(price[None], curve[None], col_lo[None], col_hi[None], inst.load)[0][0]
+    powers = _dispatch_rows(price[None], curve[None], col_lo[None], col_hi[None], inst.load)[0]
     return float((startup + price * powers + curve * powers * powers).sum()) * (1.0 - 1e-12)
 
 
@@ -219,7 +226,7 @@ def node_bounds_columns(inst: UcInstance, states: np.ndarray) -> tuple[np.ndarra
     curve = np.concatenate((np.where(free, 0.0, c), zero + c), axis=1)
     col_lo = np.concatenate((box_lo, zero), axis=1)
     col_hi = np.concatenate((np.where(free, knee, box_hi), np.where(free, hi - knee, 0.0)), axis=1)
-    p = _dispatch_rows(price, curve, col_lo, col_hi, inst.load)[0]
+    p = _dispatch_rows(price, curve, col_lo, col_hi, inst.load)
     feasible = (box_lo.sum(axis=1) <= inst.load) & (box_hi.sum(axis=1) >= inst.load)
     cost = (startup + price * p + curve * p * p).sum(axis=1)
     return (np.where(feasible, cost * (1.0 - 1e-12), INFEASIBLE_COST),

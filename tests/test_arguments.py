@@ -25,7 +25,7 @@ import pytest
 
 from oracles import ContinuousAssignment, avg_hamming_top_k, near_opt_probability
 import ucqaoa
-from ucqaoa.baseline import node_lower_bound, random_instance, scaling_benchmark, solve_approx
+from ucqaoa.baseline import random_instance, scaling_benchmark, solve_approx
 from ucqaoa.dispatch import economic_dispatch, near_optimal_set
 from ucqaoa.errors import ValidationError
 from ucqaoa.hybrid import HybridConfig, ThetaVector
@@ -139,9 +139,6 @@ _VECTORS = {
     # a negative entry is refused as "commitment entries must be 0 or 1"
     "economic_dispatch.commit": (
         "commitment", lambda v: economic_dispatch(_PAIR, v), [1, 1], True, True),
-    # -1 is an undecided unit, so node states have no floor of 0
-    "node_lower_bound.fixed": (
-        "node states", lambda v: node_lower_bound(_PAIR, v), [-1, 1], False, True),
 }
 
 # the same, for the tests/oracles.py copies of three names the package no

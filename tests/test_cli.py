@@ -588,6 +588,23 @@ def test_package_warning_is_one_stderr_line(command, code, tmp_path, capsys):
                        if code else [])
 
 
+_OVER_CAPACITY = {"load": 1000, "units": [{"p_min": 0, "p_max": 100, "a": 1, "b": 1, "c": 1}]}
+
+
+@pytest.mark.parametrize("load, code, used", [(None, 3, "1000.0"), ("50", 0, None),
+                                              ("5000", 3, "5000.0")])
+def test_capacity_warning_names_the_load_solved_at(load, code, used, tmp_path, capsys):
+    # --load 50 warned about the document's 1000 MW, which it never solves at
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps(_OVER_CAPACITY))
+    flag = [] if load is None else ["--load", load]
+    assert main(["solve-classical", "--instance", str(path), *flag]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert err == ([] if used is None else [
+        f"warning: load {used} MW exceeds total capacity 100.0 MW; no feasible commitment exists",
+        f"error: no feasible commitment covers load {used} (total capacity 100.0)"])
+
+
 def test_exit_code_size_guard(tmp_path, capsys):
     big = tmp_path / "big.json"
     big.write_text(serialize_instance(random_instance(21, rng=0)))

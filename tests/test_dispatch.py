@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -13,8 +14,13 @@ from ucqaoa.baseline import random_instance, solve_exact
 from ucqaoa.dispatch import (
     _SEARCH_ELEMENTS,
     INFEASIBLE_COST,
+    OFF,
+    ON,
+    UNDECIDED,
+    _covers_load,
     _dispatch_rows,
     _envelope,
+    _node_bounds,
     _probes_every_breakpoint,
     _root_incumbent,
     _search_plan,
@@ -269,10 +275,54 @@ def test_search_matches_bisection_bit_for_bit(rows):
     for n in _WIDTHS:
         b, c, lo, hi = _degenerate_boxes(rng, rows, n)
         for load in _loads(b, c, lo, hi):
-            powers, feasible = _dispatch_rows(b, c, lo, hi, load)
             want_powers, want_feasible = bisection_dispatch_rows(b, c, lo, hi, load)
-            assert powers.tobytes() == want_powers.tobytes(), (n, load)
-            assert np.array_equal(feasible, want_feasible), (n, load)
+            assert _dispatch_rows(b, c, lo, hi, load).tobytes() == want_powers.tobytes(), (n, load)
+            assert np.array_equal(_covers_load(lo, hi, load), want_feasible), (n, load)
+
+
+# (p_min, p_max, a, b, c) rows and loads at the edges of feasibility
+_EDGE_CASES = {
+    "at capacity": ([(10.0, 100.0, 5.0, 2.0, 0.01), (20.0, 50.0, 3.0, 4.0, 0.02),
+                     (0.0, 30.0, 1.0, 6.0, 0.0)], 180.0),
+    "fixed outputs": ([(40.0, 40.0, 5.0, 2.0, 0.1), (60.0, 60.0, 5.0, 3.0, 0.0),
+                       (25.0, 25.0, 1.0, 1.0, 0.01)], 100.0),
+    # the p_max sum of both units overflows to inf, which covers the load
+    "overflowing capacity": ([(0.0, 1e308, 1.0, 0.5, 0.0)] * 2, 1.5e308),
+    "overflowing capacity, small load": ([(0.0, 1e308, 1.0, 0.5, 0.0)] * 2, 1.0),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+def test_one_feasibility_rule_at_the_edges(case):
+    # a commitment is feasible when its ON boxes cover the load, and the
+    # all-OFF one never is.  The economic dispatch, the enumeration and
+    # the leaf bounds must all read that rule; an inner node's bound is
+    # finite when its relaxed boxes cover the load, so inf only where no
+    # completion is feasible
+    inst = _inst(*_EDGE_CASES[case])
+    units, n = inst.units, inst.n
+    commits = list(all_commitments(n))
+    want = [sum(u.p_min for u, y in zip(units, bits) if y) <= inst.load
+            <= sum(u.p_max for u, y in zip(units, bits) if y) for bits in commits]
+    assert not want[0] and any(want)
+    assert [economic_dispatch(inst, bits).feasible for bits in commits] == want
+    flags = {bits: sol.feasible for bits, sol in enumerate_all(inst)}
+    assert [flags[bits] for bits in commits] == want
+    leaves = np.array(commits)
+    bounds = _node_bounds(inst, _envelope(inst), leaves)[0]
+    assert (bounds < math.inf).tolist() == want
+    # every partial node: bounded inf exactly when its relaxed boxes miss
+    nodes = np.array(list(itertools.product((UNDECIDED, OFF, ON), repeat=n)))
+    box_lo = [sum(u.p_min for u, s in zip(units, row) if s == ON) for row in nodes]
+    box_hi = [sum(u.p_max for u, s in zip(units, row) if s != OFF) for row in nodes]
+    bounds = _node_bounds(inst, _envelope(inst), nodes)[0]
+    assert (bounds < math.inf).tolist() == [lo <= inst.load <= hi
+                                            for lo, hi in zip(box_lo, box_hi)]
+    for row, bound in zip(nodes.tolist(), bounds.tolist()):
+        completions = [bits for bits, ok in zip(commits, want)
+                       if ok and all(s in (UNDECIDED, bit) for s, bit in zip(row, bits))]
+        assert bound < math.inf or not completions, row
 
 
 @pytest.mark.parametrize("rows", _ROW_COUNTS)

@@ -12,13 +12,6 @@ import ucqaoa
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# perfbench/tracing.py wraps node_lower_bound as a traced layer but calls
-# it nowhere, and solve_approx no longer calls it.  It can leave once the
-# tracer follows baseline._node_bounds instead (ROADMAP item 1); moving it
-# now would fail test_benchmark_contract.py::test_tracer_finds_every_live_layer.
-UNCALLED = {"node_lower_bound"}
-
-
 def _called_names() -> set[str]:
     """Names called as f(...) or mod.f(...) anywhere in the program, which
     covers a class built as C(...) or raised as raise C(...)."""
@@ -37,7 +30,7 @@ def _called_names() -> set[str]:
 def test_every_exported_function_is_called_by_the_program():
     exported = {name for name in dir(ucqaoa)
                 if not name.startswith("_") and inspect.isfunction(getattr(ucqaoa, name))}
-    assert exported - _called_names() == UNCALLED
+    assert exported - _called_names() == set()
 
 
 def test_every_exported_class_is_built_or_raised_by_the_program():
