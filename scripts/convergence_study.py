@@ -43,7 +43,7 @@ def main() -> None:
         for seed in args.run_seeds:
             cfg = u.HybridConfig(depth=args.depth, max_iterations=args.iterations,
                                  seed=seed, near_opt_fraction=args.fraction)
-            hist = u.run_hybrid(inst, cfg, nos=nos)
+            hist = u.run_hybrid(inst, cfg)
             first, last = hist.records[0], hist.records[-1]
             improved = (last.near_opt_prob >= 2.0 * base
                         and last.avg_hamming_top50 <= first.avg_hamming_top50)

@@ -41,7 +41,7 @@ def main() -> None:
         for seed in args.seeds:
             cfg = u.HybridConfig(depth=depth, max_iterations=args.iterations,
                                  seed=seed, near_opt_fraction=args.fraction)
-            hist = u.run_hybrid(inst, cfg, nos=nos)
+            hist = u.run_hybrid(inst, cfg)
             first, last = hist.records[0], hist.records[-1]
             finals.append(last.near_opt_prob)
             print(f"{depth:>2} {seed:>4} {first.near_opt_prob:8.4f} {last.near_opt_prob:8.4f} "

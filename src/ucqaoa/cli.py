@@ -138,6 +138,7 @@ def cmd_simulate(args) -> None:
         for name, text in (("p", args.p), ("s1", args.s1), ("s2", args.s2))
     )
     theta = hybrid.ThetaVector(gamma, beta, p, s1, s2)
+    qaoa._check_qubits(inst.n)
     diag = _cost_table(inst, w, p, s1, s2)  # refuses a table that is not finite
     top_gamma, top_cost = float(np.abs(theta.gamma).max()), float(np.abs(diag).max())
     if not math.isfinite(top_gamma * top_cost):  # bounds every phase angle gamma * diag[k]
@@ -235,8 +236,7 @@ def _load_distribution(path: str, n: int) -> np.ndarray:
     """The full distribution written by ``simulate --out``: one row per
     bitstring, each probability finite and >= 0, summing to 1 within 1e-9.
     Only ``simulate`` writes one, so its size guard holds here too."""
-    if n > qaoa.QUBIT_GUARD:
-        raise SizeGuardError(f"distribution guard is n <= {qaoa.QUBIT_GUARD}, got {n}")
+    qaoa._check_qubits(n)
     probs = np.zeros(1 << n)
     seen = np.zeros(1 << n, dtype=bool)
     with open(path, newline="") as fh:

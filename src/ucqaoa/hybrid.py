@@ -3,9 +3,9 @@
 Packs all continuous decision variables into one flat vector, evaluates
 the QAOA expectation of the penalized objective at each proposal, and
 minimizes with the simplex method while recording convergence metrics
-against a brute-force near-optimal set.  Each proposal is simulated once:
-the metric snapshots read the distribution the objective already computed
-at the best vertex.
+against the near-optimal set of a bound-pruned search.  Each proposal
+is simulated once: the metric snapshots read the distribution the
+objective already computed at the best vertex.
 
 A run allocates its 2**n memory once, in a private workspace: the cost
 table, one real scratch array (the table's subset sums, then the
@@ -43,8 +43,8 @@ import numpy as np
 
 from . import metrics as _metrics
 from . import qaoa
-from .dispatch import NearOptimalSet, near_optimal_set
-from .errors import NonFiniteObjectiveError, SizeGuardError, ValidationError
+from .dispatch import near_optimal_set
+from .errors import NonFiniteObjectiveError, ValidationError
 from .instance import UcInstance, _count, _finite_float, _finite_vector, index_to_string
 from .neldermead import nelder_mead
 from .qubo import PenaltyWeights, _cost_table
@@ -151,6 +151,7 @@ class _Workspace:
     __slots__ = ("table", "scratch", "states", "best", "next")
 
     def __init__(self, n: int) -> None:
+        qaoa._check_qubits(n)
         size = 1 << n
         self.best, self.next = np.empty(size), np.empty(size)
         self.table, self.scratch = np.empty(size), np.empty(size)
@@ -221,7 +222,7 @@ def objective(inst: UcInstance, w: PenaltyWeights, theta: ThetaVector) -> float:
     `run_hybrid` takes it with `HybridConfig.shots`.
 
     Raises ValidationError unless theta is for inst.n units and all its
-    entries are finite.
+    entries are finite, and SizeGuardError past the simulator's guard.
     """
     if theta.n_units != inst.n:
         raise ValidationError(f"theta is for {theta.n_units} units, instance has {inst.n}")
@@ -236,40 +237,36 @@ def initial_theta(inst: UcInstance, cfg: HybridConfig, seed=None) -> ThetaVector
     _, _, _, lo, hi = inst.coeff_arrays
     gamma = rng.uniform(0.0, np.pi / 4.0, cfg.depth)
     beta = rng.uniform(0.0, np.pi / 4.0, cfg.depth)
-    # load * hi and hi.sum() may pass the largest float; fmax takes lo where
-    # the share is nan: inf/inf, or 0/0 when every p_max is 0, so p = 0
+    # where load * hi or hi.sum() passes the largest float, split by hi / hi.max();
+    # fmax takes lo where the share is nan (0/0 when every p_max is 0), so p = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.fmin(np.fmax(inst.load * hi / hi.sum(), lo), hi)
+        total = hi.sum()
+        share = inst.load * hi / total
+        if not (np.isfinite(total) and np.isfinite(share).all()):
+            scaled = hi / hi.max()
+            share = inst.load * scaled / scaled.sum()
+        p = np.fmin(np.fmax(share, lo), hi)
     return ThetaVector(gamma=gamma, beta=beta, p=p, s1=p - lo, s2=hi - p)
 
 
-def run_hybrid(
-    inst: UcInstance,
-    cfg: HybridConfig,
-    nos: Optional[NearOptimalSet] = None,
-) -> RunHistory:
+def run_hybrid(inst: UcInstance, cfg: HybridConfig) -> RunHistory:
     """Full hybrid run: simplex descent with metric snapshots.
 
     Snapshots land at iteration 0, every metric-cadence iterations, and at
     the final iteration; each scores the distribution the optimizer
-    evaluated at its current best vertex against the near-optimal set
-    (computed up front by brute force unless supplied).  Snapshots
-    simulate nothing and draw no random numbers: with shots > 0 they
-    report the sampled histogram behind the recorded objective, and the
-    cadence only selects which iterations are written.
+    evaluated at its current best vertex against the near-optimal set at
+    ``cfg.near_opt_fraction``, found up front by a bound-pruned search.
+    Snapshots simulate nothing and draw no random numbers: with shots > 0
+    they report the sampled histogram behind the recorded objective, and
+    the cadence only selects which iterations are written.
     """
-    if inst.n > qaoa.QUBIT_GUARD:
-        raise SizeGuardError(f"instance has {inst.n} units, simulator guard is {qaoa.QUBIT_GUARD}")
     # Allocated before the near-optimal set's temporaries, and with the
     # distribution arrays (one of which the run keeps) first, the workspace
     # reuses the same memory run after run: a process keeping 30 runs at 16
     # units peaked about 0.8 MB lower than with it allocated after them.
     ws = _Workspace(inst.n)
     w = cfg.weights if cfg.weights is not None else PenaltyWeights.default_for(inst)
-    if nos is None:
-        nos = near_optimal_set(inst, cfg.near_opt_fraction)
-    elif nos.n != inst.n:
-        raise ValidationError(f"near-optimal set is for {nos.n} units, instance has {inst.n}")
+    nos = near_optimal_set(inst, cfg.near_opt_fraction)
     rng = np.random.default_rng(cfg.seed)
     theta0 = initial_theta(inst, cfg, rng)
     x0 = theta0.pack()

@@ -40,12 +40,17 @@ from .instance import _count, _finite_vector
 QUBIT_GUARD = 20
 
 
+def _check_qubits(n: int) -> None:
+    """The simulator's size rule, checked before any 2**n array is taken."""
+    if n > QUBIT_GUARD:
+        raise SizeGuardError(f"simulator guard is n <= {QUBIT_GUARD}, got {n}")
+
+
 def _qubit_count(size: int) -> int:
     n = size.bit_length() - 1
     if size < 2 or (1 << n) != size:
         raise ValidationError(f"state size must be a power of two >= 2, got {size}")
-    if n > QUBIT_GUARD:
-        raise SizeGuardError(f"qubit guard is n <= {QUBIT_GUARD}, got {n}")
+    _check_qubits(n)
     return n
 
 
@@ -163,7 +168,8 @@ def sample(probs: np.ndarray, shots: int, seed=None) -> np.ndarray:
 def _sample_counts(probs: np.ndarray, shots: int, rng, scratch=None) -> np.ndarray:
     """`sample` on checked arguments, normalizing into ``scratch`` (allocated
     when not given): bit for bit ``probs / probs.sum()``.  Checks the total alone."""
-    total = probs.sum()
+    with np.errstate(over="ignore"):  # an overflowing total is refused just below
+        total = probs.sum()
     if not 0.0 < total < math.inf:  # a non-finite cost table makes it nan
         raise NonFiniteObjectiveError(f"distribution to sample has total probability {total}; "
                                       "check for overflow or oversized penalty weights")

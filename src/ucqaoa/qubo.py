@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteObjectiveError, SizeGuardError, ValidationError
+from .errors import NonFiniteObjectiveError, ValidationError
 from .instance import UcInstance, _finite_float
-from .qaoa import QUBIT_GUARD
 
 
 @dataclass(frozen=True)
@@ -78,17 +77,14 @@ def _cost_table(
       lin = a - 2*lambda1*L*p + lambda2*(p_min**2 - 2*d*p_min)
             + lambda3*(p_max**2 - 2*e*p_max)
     The table is written to ``out`` and S_p to ``scratch``, real 2**n
-    arrays allocated when not given.  Checks the size guard, the
-    simulator's (the table has one entry per amplitude), and that every
-    entry is finite: otherwise, before the table reaches a circuit, raises
+    arrays allocated when not given.  Checks that every entry is finite:
+    otherwise, before the table reaches a circuit, raises
     NonFiniteObjectiveError naming the weights and ``vectors``, which says
-    where p, s1 and s2 came from.  p, s1 and s2 must be finite,
-    non-negative length-n vectors and the arrays 2**n long, all validated
-    once by the caller.
+    where p, s1 and s2 came from.  n must be within the simulator's guard,
+    p, s1 and s2 finite, non-negative length-n vectors and the arrays 2**n
+    long, all checked once by the caller.
     """
     n = inst.n
-    if n > QUBIT_GUARD:
-        raise SizeGuardError(f"cost table guard is n <= {QUBIT_GUARD}, got {n}")
     a, b, c, lo, hi = inst.coeff_arrays
     load = inst.load
     table = np.empty(1 << n) if out is None else out

@@ -260,7 +260,7 @@ def convergence_runs():
         runs[depth] = [
             run_hybrid(inst, HybridConfig(depth=depth, max_iterations=1500,
                                           seed=seed, metric_cadence=10,
-                                          near_opt_fraction=0.05), nos=nos)
+                                          near_opt_fraction=0.05))
             for seed in CONV_SEEDS
         ]
     return inst, nos, runs
@@ -291,7 +291,7 @@ def test_c06_convergence_trend(convergence_runs):
     for depth in (1, 2):
         hist = run_hybrid(ten, HybridConfig(depth=depth, max_iterations=1500,
                                             seed=0, metric_cadence=50,
-                                            near_opt_fraction=0.05), nos=nos10)
+                                            near_opt_fraction=0.05))
         _report(
             f"10-unit best effort P={depth}: near-opt prob "
             f"{hist.records[0].near_opt_prob:.4f} -> "

@@ -421,6 +421,14 @@ def test_negative_gap_rejected():
         solve_approx(builtin_ten_unit(700.0), math.inf)
 
 
+def test_zero_cost_fleet_reports_zero_gap():
+    # a zero incumbent cost: the gap's quotient would be 0/0
+    inst = UcInstance(units=(UnitSpec(0.0, 50.0, 0.0, 0.0, 0.0),
+                             UnitSpec(10.0, 80.0, 0.0, 0.0, 0.0)), load=60.0)
+    for report in (solve_exact(inst), solve_approx(inst, 0.08)):
+        assert (report.dispatch.cost, report.proven_gap) == (0.0, 0.0)
+
+
 def test_gap_zero_equals_exact():
     ten = builtin_ten_unit(700.0)
     a, b = solve_exact(ten), solve_approx(ten, 0.0)

@@ -232,6 +232,14 @@ def test_run_hybrid_gnuplot_companions(small_instance_path, tmp_path):
         f"plot '{csv_path}' using 1:3 with lines title 'near-opt prob', \\\n"
         f"     '{csv_path}' using 1:4 axes x1y2 with lines title 'avg Hamming top-50'\n"
     )
+    # a path with neither suffix is the CSV itself, and the script sits beside it
+    bare = tmp_path / "bare" / "hist"
+    bare.parent.mkdir()
+    main(["run-hybrid", "--instance", small_instance_path,
+          "--iterations", "10", "--cadence", "5", "--out", str(bare), "--gnuplot"])
+    assert sorted(p.name for p in bare.parent.iterdir()) == ["hist", "hist.gp"]
+    assert bare.read_text() == csv_path.read_text()
+    assert f"plot '{bare}' using 1:3" in (bare.parent / "hist.gp").read_text()
 
 
 def test_run_hybrid_depth_flag_changes_history(small_instance_path, tmp_path):
@@ -355,6 +363,11 @@ def test_metrics_rejects_malformed_distribution(small_instance_path, tmp_path, c
     assert main(["metrics", "--instance", small_instance_path,
                  "--distribution", str(short)]) == 2
     capsys.readouterr()
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("bitstring,probability\n000,1.0\n")
+    assert main(["metrics", "--instance", small_instance_path,
+                 "--distribution", str(narrow)]) == 2
+    _assert_one_error(capsys, f"{narrow}: bitstring '000' is not length 4")
 
 
 def _uniform_rows(n):
@@ -608,14 +621,10 @@ def test_capacity_warning_names_the_load_solved_at(load, code, used, tmp_path, c
 def test_exit_code_size_guard(tmp_path, capsys):
     big = tmp_path / "big.json"
     big.write_text(serialize_instance(random_instance(21, rng=0)))
-    for argv, message in (
-        (["run-hybrid", "--instance", str(big), "--iterations", "5"],
-         "instance has 21 units, simulator guard is 20"),
-        (["simulate", "--instance", str(big), "--gamma", "0.2", "--beta", "0.1"],
-         "cost table guard is n <= 20, got 21"),
-    ):
+    for argv in (["run-hybrid", "--instance", str(big), "--iterations", "5"],
+                 ["simulate", "--instance", str(big), "--gamma", "0.2", "--beta", "0.1"]):
         assert main(argv) == 4, argv[0]
-        _assert_one_error(capsys, message)
+        _assert_one_error(capsys, "simulator guard is n <= 20, got 21")
 
 
 @pytest.mark.parametrize("n", [21, 40])
@@ -627,7 +636,7 @@ def test_exit_code_metrics_size_guard(n, tmp_path, capsys):
     dist = tmp_path / "dist.csv"
     dist.write_text(f"bitstring,probability\n{'0' * n},1.0\n")
     assert main(["metrics", "--instance", str(big), "--distribution", str(dist)]) == 4
-    assert capsys.readouterr().err == f"error: distribution guard is n <= 20, got {n}\n"
+    assert capsys.readouterr().err == f"error: simulator guard is n <= 20, got {n}\n"
 
 
 def test_exit_code_number_past_float_range(tmp_path, capsys):
@@ -646,10 +655,11 @@ def test_exit_code_number_past_float_range(tmp_path, capsys):
     ["bench-classical", "--sizes", "4", "--trials", "1"],
 ], ids=lambda argv: argv[0])
 def test_negative_seed_is_a_usage_error(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--seed", "-1", *argv])
-    assert exc.value.code == 2
-    assert "--seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+    for seed in ("-1", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", seed, *argv])
+        assert exc.value.code == 2
+        assert f"--seed: expected an integer >= 0, got '{seed}'" in capsys.readouterr().err
 
 
 @pytest.fixture

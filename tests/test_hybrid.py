@@ -233,6 +233,14 @@ def test_initial_power_split_sums_to_load():
     assert theta.p.sum() == pytest.approx(400.0, rel=1e-12)
 
 
+def test_initial_power_split_when_the_capacity_products_overflow():
+    # sum(p_max) past the largest float put every share at 0, and load * p_max
+    # past it put every unit at p_max, above the load
+    for p_max, load, want in ((1e308, 1.0, 0.5), (1e200, 1e200, 5e199)):
+        inst = UcInstance(units=(UnitSpec(0.0, p_max, 1.0, 0.5, 0.0),) * 2, load=load)
+        assert initial_theta(inst, HybridConfig(seed=0)).p.tolist() == [want, want]
+
+
 def test_initial_slacks_zero_limit_penalties_at_all_on():
     inst = random_instance(5, rng=7)
     theta = initial_theta(inst, HybridConfig(seed=0))
@@ -580,20 +588,6 @@ def test_run_hybrid_guard_and_infeasible():
                               load=500.0)
     with pytest.raises(InfeasibleError):
         run_hybrid(hopeless, HybridConfig(max_iterations=1))
-
-
-def test_run_hybrid_rejects_near_optimal_set_of_other_size(monkeypatch):
-    simulations = 0
-
-    def counting_distribution(*args, **kwargs):
-        nonlocal simulations
-        simulations += 1
-
-    monkeypatch.setattr(qaoa, "qaoa_distribution", counting_distribution)
-    small = near_optimal_set(random_instance(4, rng=0), 0.05)
-    with pytest.raises(ValidationError, match="near-optimal set is for 4 units, instance has 10"):
-        run_hybrid(builtin_ten_unit(700.0), HybridConfig(max_iterations=1), small)
-    assert simulations == 0
 
 
 def test_run_hybrid_rejects_zero_default_weights():

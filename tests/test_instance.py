@@ -369,6 +369,9 @@ def test_load_instance_names_bad_unit():
     }
     with pytest.raises(ValidationError, match=r"units\[1\]"):
         load_instance(json.dumps(doc))
+    for unit, message in ((3, "expected an object"), ({"p_min": 0.0}, "missing keys \\[")):
+        with pytest.raises(ValidationError, match=rf"^units\[0\]: {message}"):
+            load_instance(json.dumps({"load": 10.0, "units": [unit]}))
 
 
 def test_load_instance_rejects_unknown_keys():
@@ -394,6 +397,12 @@ def test_load_instance_rejects_nan_inf_tokens():
 def test_load_instance_rejects_malformed_json():
     with pytest.raises(ValidationError, match="malformed"):
         load_instance("{not json")
+    unit = {"p_min": 0, "p_max": 1, "a": 0, "b": 0, "c": 0}
+    for doc, message in (([], "must be a JSON object"),
+                         ({"units": []}, "requires 'load' and 'units'"),
+                         ({"name": 3, "load": 1.0, "units": [unit]}, "name: expected a string")):
+        with pytest.raises(ValidationError, match=message):
+            load_instance(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------

@@ -287,8 +287,7 @@ def test_export_byte_identical_reruns(tmp_path):
 def test_run_metrics_against_real_near_optimal_set():
     inst = random_instance(4, rng=3)
     nos = near_optimal_set(inst, 0.05)
-    hist = run_hybrid(inst, HybridConfig(max_iterations=20, metric_cadence=10),
-                      nos=nos)
+    hist = run_hybrid(inst, HybridConfig(max_iterations=20, metric_cadence=10))
     for rec in hist.records:
         assert 0.0 <= rec.near_opt_prob <= 1.0
         assert 0.0 <= rec.avg_hamming_top50 <= inst.n

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from oracles import (
     uniform_state,
 )
 from ucqaoa import qaoa
-from ucqaoa.errors import SizeGuardError, ValidationError
+from ucqaoa.errors import NonFiniteObjectiveError, SizeGuardError, ValidationError
 from ucqaoa.qaoa import qaoa_distribution, sample
 
 angles = st.floats(-2.0 * math.pi, 2.0 * math.pi)
@@ -339,6 +340,14 @@ def test_sample_rejects_a_distribution_without_mass():
     # ValueError from the multinomial draw
     with pytest.raises(ValidationError, match="^probs has no mass"):
         sample(np.zeros(4), 10, 0)
+
+
+def test_sample_refuses_an_overflowing_total_without_a_warning():
+    # the total was taken with numpy's overflow warning on, before the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteObjectiveError, match="total probability inf"):
+            sample(np.array([1e308, 1e308]), 1)
 
 
 # ---------------------------------------------------------------------------

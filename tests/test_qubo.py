@@ -241,9 +241,6 @@ def test_diagonal_guard():
     q = Qubo(n=21, constant=0.0, linear=np.zeros(21), quadratic=np.zeros((21, 21)))
     with pytest.raises(SizeGuardError):
         qubo_diagonal(q)
-    with pytest.raises(SizeGuardError):
-        _cost_table(random_instance(21, rng=0), PenaltyWeights(1.0, 1.0, 1.0),
-                    np.zeros(21), np.zeros(21), np.zeros(21))
 
 
 def test_diagonal_min_matches_brute_force_min():
