@@ -27,7 +27,6 @@ from .errors import (
     ValidationError,
 )
 from .hybrid import (
-    HistoryRecord,
     HybridConfig,
     RunHistory,
     ThetaVector,
@@ -44,6 +43,7 @@ from .instance import (
     load_instance_file,
 )
 from .metrics import (
+    HistoryRecord,
     MetricSnapshot,
     compute_snapshot,
     export_history,

@@ -27,7 +27,7 @@ import math
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,7 +55,8 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
     proves it within `gap` stops with no node expanded.  Every bound stays
     admissible, so the optimal cost is what the search finds whatever its
     first incumbent; among commitments of exactly equal cost, which one is
-    returned can depend on it.
+    returned can depend on it.  The incumbent is an ON mask, none while
+    its cost is inf; it becomes the report's commitment once, at the end.
     The report's dispatch is the incumbent's own row of the solve that
     priced it, root pair or leaf, so the answer is not solved again; a
     row's result does not depend on the rows beside it, so it is bit for
@@ -69,10 +70,8 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
 
     start = time.perf_counter()
     envelope = _envelope(inst)
-    root_bound, relaxed, on, incumbent_cost, incumbent_powers = _root_incumbent(inst, envelope)
-    # an infeasible candidate costs inf and is never the incumbent
-    incumbent: Optional[Commitment] = (tuple(on.astype(int).tolist())
-                                       if incumbent_cost < math.inf else None)
+    root_bound, relaxed, incumbent, incumbent_cost, incumbent_powers = _root_incumbent(
+        inst, envelope)
     order = _branching_order(inst)
     counter = itertools.count()
     # (bound, tie-break, depth, states, powers), keyed on the node's own
@@ -93,7 +92,7 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
         if depth == inst.n:
             if bound < incumbent_cost:
                 incumbent_cost = bound
-                incumbent = tuple(int(s == ON) for s in fixed)
+                incumbent = fixed == ON
                 incumbent_powers = node_powers
             continue
         children = np.array((fixed, fixed))
@@ -106,7 +105,7 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
     else:
         final_lb = incumbent_cost  # tree exhausted: the incumbent is optimal
 
-    if incumbent is None:
+    if incumbent_cost == math.inf:
         raise InfeasibleError(
             f"no feasible commitment covers load {inst.load} "
             f"(total capacity {float(inst.coeff_arrays[4].sum())})"
@@ -116,10 +115,9 @@ def solve_approx(inst: UcInstance, gap: float) -> SolveReport:
     else:
         proven_gap = max(0.0, (incumbent_cost - final_lb) / incumbent_cost)
     return SolveReport(
-        commitment=incumbent,
+        commitment=tuple(incumbent.astype(int).tolist()),
         # a copy, so the report does not keep the row array alive
-        dispatch=DispatchSolution(powers=incumbent_powers.copy(), cost=incumbent_cost,
-                                  feasible=True),
+        dispatch=DispatchSolution(powers=incumbent_powers.copy(), cost=incumbent_cost),
         proven_gap=proven_gap,
         nodes_expanded=nodes_expanded,
         wall_time_s=time.perf_counter() - start,
@@ -167,7 +165,7 @@ def scaling_benchmark(
     if not sizes:
         raise ValidationError("sizes must name at least one size, got none")
     trials, gap = _count(trials, "trials", 1), _finite_float(gap, "gap", 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     rows: list[tuple[int, str, float, float, float]] = []
     for n in sizes:
         runs: dict[str, list[tuple[float, float, int]]] = {"exact": [], "approx": []}

@@ -225,7 +225,7 @@ def cmd_bench_classical(args) -> None:
     out_rows = [[n, mode, _fmt(ms if args.wall_times else 0.0), _fmt(cost), _fmt(nodes)]
                 for n, mode, ms, cost, nodes in rows]
     _write_rows(args.out, ["n", "mode", "median_ms", "cost", "nodes_expanded"], out_rows)
-    if args.gnuplot and args.out is not None:
+    if args.gnuplot:
         _gnuplot(_stem(args.out) + ".gp",
                  ["xlabel 'units'", "ylabel 'median wall time (ms)'", "logscale y"],
                  [f"'{args.out}' using 1:(strcol(2) eq '{mode}' ? $3 : 1/0) "
@@ -383,6 +383,8 @@ def _warning_lines(show):
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "gnuplot", False) and args.out is None:
+        parser.error("--gnuplot needs --out: the script plots the written CSV")
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

@@ -46,11 +46,15 @@ MAX_FLOAT = float(np.finfo(float).max)  # where overflowing slopes and prices ar
 
 @dataclass(frozen=True, eq=False, slots=True)
 class DispatchSolution:
-    """Dispatch of one commitment: full-length power vector and total cost."""
+    """Dispatch of one commitment: full-length power vector and total cost,
+    inf with zero power exactly when the commitment is infeasible."""
 
     powers: np.ndarray
     cost: float
-    feasible: bool
+
+    @property
+    def feasible(self) -> bool:
+        return self.cost < INFEASIBLE_COST
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,13 +212,14 @@ def _covers_load(lo: np.ndarray, hi: np.ndarray, load: float) -> np.ndarray:
     return (lo.sum(axis=1) <= load) & (hi.sum(axis=1) >= load)
 
 
-def _dispatch_costs(inst: UcInstance, on: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(costs, feasible, powers) of every row of a ``(k, n)`` commitment mask.
+def _dispatch_costs(inst: UcInstance, on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(costs, powers) of every row of a ``(k, n)`` commitment mask.
 
     An ON unit runs in [p_min, p_max] and pays its startup cost ``a``; an
     OFF unit holds zero.  One exact dispatch solve and one cost expression
     price a commitment, a chunk of the enumeration and a branch-and-bound
-    leaf alike.  Infeasible rows cost inf and hold zero power.
+    leaf alike.  A row costs inf, and holds zero power, exactly when its
+    boxes cannot cover the load (`_covers_load`); no flag is returned.
     """
     a, b, c, lo, hi = inst.coeff_arrays
     box_lo, box_hi = np.where(on, lo, 0.0), np.where(on, hi, 0.0)
@@ -222,7 +227,7 @@ def _dispatch_costs(inst: UcInstance, on: np.ndarray) -> tuple[np.ndarray, np.nd
     feasible = _covers_load(box_lo, box_hi, inst.load)
     p[~feasible] = 0.0
     cost = (np.where(on, a, 0.0) + b * p + c * p * p).sum(axis=1)
-    return np.where(feasible, cost, INFEASIBLE_COST), feasible, p
+    return np.where(feasible, cost, INFEASIBLE_COST), p
 
 
 def economic_dispatch(inst: UcInstance, commit: Sequence[int]) -> DispatchSolution:
@@ -232,10 +237,9 @@ def economic_dispatch(inst: UcInstance, commit: Sequence[int]) -> DispatchSoluti
     a commitment entry other than 0 or 1 is a ValidationError.
     """
     on = _check_commitment(inst, commit)[None]
-    costs, feasible, powers = _dispatch_costs(inst, on)
+    costs, powers = _dispatch_costs(inst, on)
     # a copy, so the solution does not keep the (1, n) row array alive
-    return DispatchSolution(powers=powers[0].copy(), cost=float(costs[0]),
-                            feasible=bool(feasible[0]))
+    return DispatchSolution(powers=powers[0].copy(), cost=float(costs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +292,7 @@ def _node_bounds(inst: UcInstance, envelope: tuple[np.ndarray, np.ndarray, np.nd
     on, off = states == ON, states == OFF
     free = ~(on | off)
     if not free.any():
-        costs, _, p = _dispatch_costs(inst, on)
-        return costs, p
+        return _dispatch_costs(inst, on)
     a, b, c, lo, hi = inst.coeff_arrays
     knee, mean, tail_price = envelope
     zero = np.zeros(states.shape)
@@ -319,11 +322,11 @@ def _root_incumbent(inst: UcInstance, envelope: tuple[np.ndarray, np.ndarray, np
     """(bound, relaxed powers) of the root node, then (ON mask, cost,
     powers) of the first incumbent: the cheaper of all-ON and the root's
     relaxed dispatch rounded (a unit ON when its relaxed power is above
-    0), priced together as the enumeration prices them.  Its cost is inf
-    when neither is feasible."""
+    0), priced together as the enumeration prices them.  A cost of inf,
+    when neither is feasible, means no incumbent."""
     bounds, relaxed = _node_bounds(inst, envelope, np.full((1, inst.n), UNDECIDED))
     candidates = np.array((relaxed[0] > 0.0, np.ones(inst.n, dtype=bool)))
-    costs, _, powers = _dispatch_costs(inst, candidates)
+    costs, powers = _dispatch_costs(inst, candidates)
     best = int(costs.argmin())
     return float(bounds[0]), relaxed[0], candidates[best], float(costs[best]), powers[best]
 
@@ -365,15 +368,9 @@ def enumerate_all(inst: UcInstance) -> list[tuple[Commitment, DispatchSolution]]
     chunks = (_dispatch_costs(inst, _bits(np.arange(start, min(start + _CHUNK_ROWS, size)), n)
                               .astype(bool))
               for start in range(0, size, _CHUNK_ROWS))
-    costs, feasible, powers = (np.concatenate(part) for part in zip(*chunks))
-    return [
-        (
-            index_to_bits(k, n),
-            DispatchSolution(powers=powers[k].copy(), cost=float(costs[k]),
-                             feasible=bool(feasible[k])),
-        )
-        for k in np.argsort(costs, kind="stable").tolist()
-    ]
+    costs, powers = (np.concatenate(part) for part in zip(*chunks))
+    return [(index_to_bits(k, n), DispatchSolution(powers=powers[k].copy(), cost=float(costs[k])))
+            for k in np.argsort(costs, kind="stable").tolist()]
 
 
 def near_optimal_set(inst: UcInstance, fraction: float = 0.05) -> NearOptimalSet:

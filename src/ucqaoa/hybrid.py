@@ -46,6 +46,7 @@ from . import qaoa
 from .dispatch import near_optimal_set
 from .errors import NonFiniteObjectiveError, ValidationError
 from .instance import UcInstance, _count, _finite_float, _finite_vector, index_to_string
+from .metrics import HistoryRecord
 from .neldermead import nelder_mead
 from .qubo import PenaltyWeights, _cost_table
 
@@ -121,16 +122,6 @@ class HybridConfig:
                            _finite_float(self.near_opt_fraction, "near_opt_fraction", 0))
         if not isinstance(self.weights, (PenaltyWeights, type(None))):
             raise ValidationError(f"weights must be PenaltyWeights or None, got {self.weights!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class HistoryRecord:
-    iter: int
-    objective: float
-    near_opt_prob: float
-    avg_hamming_top50: float
-    best_bitstring: str
-    elapsed_ms: float
 
 
 @dataclass(frozen=True, eq=False)

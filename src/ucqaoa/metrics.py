@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .dispatch import NearOptimalSet
 from .errors import ValidationError
 from .instance import _count, _finite_vector
-
-HISTORY_FIELDS = ("iter", "objective", "near_opt_prob", "avg_hamming_top50",
-                  "best_bitstring", "elapsed_ms")
 
 
 def top_k(probs: np.ndarray, k: int) -> np.ndarray:
@@ -59,13 +56,23 @@ def compute_snapshot(probs: np.ndarray, nos: NearOptimalSet, k: int = 50) -> Met
                           avg_hamming_top50=float(dists.mean()))
 
 
+@dataclass(frozen=True, slots=True)
+class HistoryRecord:
+    iter: int
+    objective: float
+    near_opt_prob: float
+    avg_hamming_top50: float
+    best_bitstring: str
+    elapsed_ms: float
+
+
 def export_history(history, format: str, path: str) -> None:
     """Write a RunHistory, or a sequence of HistoryRecord, as CSV or JSON;
     values round-trip exactly."""
     rows = [asdict(r) for r in getattr(history, "records", history)]
     if format == "csv":
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, HISTORY_FIELDS)
+            writer = csv.DictWriter(fh, [f.name for f in fields(HistoryRecord)])
             writer.writeheader()
             writer.writerows(rows)  # csv writes a float as its repr: exact
     elif format == "json":

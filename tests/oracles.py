@@ -211,8 +211,7 @@ def node_bounds_columns(inst: UcInstance, states: np.ndarray) -> tuple[np.ndarra
     on, off = states == ON, states == OFF
     free = ~(on | off)
     if not free.any():
-        costs, _, powers = _dispatch_costs(inst, on)
-        return costs, powers
+        return _dispatch_costs(inst, on)
     a, b, c, lo, hi = inst.coeff_arrays
     with np.errstate(over="ignore"):
         ratio = np.divide(a, c, out=np.full(inst.n, math.inf), where=c > 0)
@@ -621,10 +620,10 @@ def dispatch_grid_oracle(
 
     def result(p_on: Optional[np.ndarray]) -> DispatchSolution:
         if p_on is None:
-            return DispatchSolution(powers=np.zeros(inst.n), cost=INFEASIBLE_COST, feasible=False)
+            return DispatchSolution(powers=np.zeros(inst.n), cost=INFEASIBLE_COST)
         powers[on] = p_on
         cost = float(np.sum(a[on] + b[on] * p_on + c[on] * p_on * p_on))
-        return DispatchSolution(powers=powers, cost=cost, feasible=True)
+        return DispatchSolution(powers=powers, cost=cost)
 
     if len(on) == 0:
         return result(None)

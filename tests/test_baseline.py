@@ -611,9 +611,14 @@ def test_scaling_benchmark_validation():
     ({"sizes": [300], "trials": 1, "gap": -1}, "gap must be finite and >= 0"),
     ({"sizes": [300, 0], "trials": 1}, r"sizes\[1\] must be >= 1"),
     ({"sizes": [300], "trials": 2.5}, "trials must be an integer"),
-], ids=["gap", "size", "trials"])
+    ({"sizes": [300], "trials": 1, "seed": -1}, "seed must be >= 0, got -1"),
+    ({"sizes": [300], "trials": 1, "seed": True}, "seed must be an integer, got True"),
+    ({"sizes": [300], "trials": 1, "seed": None}, "seed must be an integer, got None"),
+    ({"sizes": [300], "trials": 1, "seed": 2.5}, "seed must be an integer, got 2.5"),
+], ids=["gap", "size", "trials", "seed", "seed-bool", "seed-none", "seed-half"])
 def test_scaling_benchmark_checks_arguments_before_solving(kwargs, message, monkeypatch):
-    # a bad gap once surfaced only after the 300-unit exact solve had run
+    # a bad gap once surfaced only after the 300-unit exact solve had run;
+    # seed True once ran as seed 1, and None drew an unrepeatable sweep
     def no_solve(inst, gap):
         raise AssertionError("solved before the arguments were checked")
 

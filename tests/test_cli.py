@@ -242,6 +242,27 @@ def test_run_hybrid_gnuplot_companions(small_instance_path, tmp_path):
     assert f"plot '{bare}' using 1:3" in (bare.parent / "hist.gp").read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run-hybrid", "--iterations", "5"],
+    ["bench-classical", "--sizes", "4", "--trials", "1"],
+], ids=lambda argv: argv[0])
+def test_gnuplot_without_out_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # it once exited 0 having written no script, run-hybrid after its full run
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the flags were checked")
+
+    monkeypatch.setattr("ucqaoa.hybrid.run_hybrid", no_work)
+    monkeypatch.setattr("ucqaoa.baseline.scaling_benchmark", no_work)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--gnuplot"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --gnuplot needs --out" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_hybrid_depth_flag_changes_history(small_instance_path, tmp_path):
     outs = []
     for depth in ("1", "2"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -289,6 +290,9 @@ _EDGE_CASES = {
     # the p_max sum of both units overflows to inf, which covers the load
     "overflowing capacity": ([(0.0, 1e308, 1.0, 0.5, 0.0)] * 2, 1.5e308),
     "overflowing capacity, small load": ([(0.0, 1e308, 1.0, 0.5, 0.0)] * 2, 1.0),
+    # the both-ON row costs exactly the largest float and is feasible: a
+    # cost overflowing to inf here would read as infeasible
+    "cost at the largest float": ([(0.0, 1.0, sys.float_info.max / 2, 0.0, 0.0)] * 2, 1.5),
 }
 
 
